@@ -22,7 +22,7 @@ func main() {
 	rel := nd.Rel
 	fmt.Printf("loaded %d weather records (1970-1999)\n\n", rel.NumRows())
 
-	groups := rel.GroupBy([]string{"Year"})
+	groups := rel.GroupByFlat([]string{"Year"})
 	const alpha = 0.3
 
 	for _, cfg := range []struct {

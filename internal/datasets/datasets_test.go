@@ -89,7 +89,7 @@ func TestHospStructure(t *testing.T) {
 func TestHospLHSTyposAreSingletons(t *testing.T) {
 	d := Hosp(HospOptions{Rows: 1000, Seed: 4})
 	zip := d.Rel.MustColumn("Zip")
-	groups := d.Rel.GroupBy([]string{"Zip"})
+	groups := d.Rel.GroupByFlat([]string{"Zip"})
 	// Every mangled zip (contains '~') must form a singleton group.
 	for key, rows := range groups {
 		if len(rows) == 1 && !containsTilde(zip.StringAt(rows[0])) {
@@ -229,7 +229,7 @@ func TestNebraskaStructure(t *testing.T) {
 		t.Fatalf("rows = %d", nd.Rel.NumRows())
 	}
 	// Clean years satisfy Wind ~||~ Weather within the year.
-	groups := nd.Rel.GroupBy([]string{"Year"})
+	groups := nd.Rel.GroupByFlat([]string{"Year"})
 	for _, year := range []string{"1975", "1985", "1995"} {
 		sub := nd.Rel.Subset(groups[year])
 		res, err := detect.Check(sub, sc.Approximate{SC: sc.MustParse("Wind ~||~ Weather"), Alpha: 0.3}, detect.Options{})

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
@@ -433,15 +434,17 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestDiscretizeQuantile pins the binner detection codes numeric columns
+// through (kernel.DiscretizeQuantile).
 func TestDiscretizeQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	codes, k := DiscretizeQuantile(vals, 4)
+	codes, k := kernel.DiscretizeQuantile(vals, 4)
 	if k != 4 {
 		t.Fatalf("bins = %d, want 4", k)
 	}
 	// Equal values must share a bin.
 	tied := []float64{1, 1, 1, 1, 1, 2}
-	codes, k = DiscretizeQuantile(tied, 4)
+	codes, k = kernel.DiscretizeQuantile(tied, 4)
 	first := codes[0]
 	for i := 1; i < 5; i++ {
 		if codes[i] != first {
@@ -451,11 +454,11 @@ func TestDiscretizeQuantile(t *testing.T) {
 	if k < 1 || k > 4 {
 		t.Errorf("k = %d", k)
 	}
-	if c, k := DiscretizeQuantile(nil, 4); c != nil || k != 0 {
+	if c, k := kernel.DiscretizeQuantile(nil, 4); c != nil || k != 0 {
 		t.Error("empty input should return empty")
 	}
 	// Constant column collapses to one bin.
-	_, k = DiscretizeQuantile([]float64{5, 5, 5, 5}, 3)
+	_, k = kernel.DiscretizeQuantile([]float64{5, 5, 5, 5}, 3)
 	if k != 1 {
 		t.Errorf("constant column bins = %d, want 1", k)
 	}
@@ -467,7 +470,7 @@ func TestDiscretizeQuantileBalance(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
 	}
-	codes, k := DiscretizeQuantile(vals, 4)
+	codes, k := kernel.DiscretizeQuantile(vals, 4)
 	if k != 4 {
 		t.Fatalf("bins = %d", k)
 	}

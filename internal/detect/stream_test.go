@@ -78,21 +78,7 @@ func storeStreamer(t *testing.T, rel *relation.Relation, windowRows int) (*kerne
 	if err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
-	cols := make([]kernel.StreamColumn, len(m.Schema))
-	for i, sc := range m.Schema {
-		k := relation.Numeric
-		if sc.Kind == store.ColKindCategorical {
-			k = relation.Categorical
-		}
-		cols[i] = kernel.StreamColumn{Name: sc.Name, Kind: k}
-	}
-	streamer, err := kernel.NewStreamer(kernel.StreamSource{
-		Columns: cols,
-		Rows:    m.Rows,
-		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
-			return st.ScanChunks(ctx, "w", windowRows, fn)
-		},
-	})
+	streamer, err := kernel.NewStreamer(kernel.StoreSource(st, m, windowRows))
 	if err != nil {
 		t.Fatalf("NewStreamer: %v", err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"scoded/internal/bayes"
 	"scoded/internal/detect"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
@@ -101,44 +102,7 @@ func codesOf(d *relation.Relation, name string, bins int) ([]int32, int) {
 		}
 		return codes, c.Cardinality()
 	}
-	return quantileCodes(c.Floats(), bins)
-}
-
-// quantileCodes is a local copy of quantile binning to avoid a dependency
-// cycle with the detect package.
-func quantileCodes(vals []float64, bins int) ([]int32, int) {
-	n := len(vals)
-	if n == 0 {
-		return nil, 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	var edges []float64
-	for b := 1; b < bins; b++ {
-		e := sorted[b*n/bins]
-		if len(edges) == 0 || e > edges[len(edges)-1] {
-			edges = append(edges, e)
-		}
-	}
-	codes := make([]int32, n)
-	for i, v := range vals {
-		c := sort.SearchFloat64s(edges, v)
-		//scoded:lint-ignore floatcmp bin edges are copied data values, so edge membership is exact
-		if c < len(edges) && v == edges[c] {
-			c++
-		}
-		codes[i] = int32(c)
-	}
-	remap := make(map[int32]int32)
-	for i, c := range codes {
-		dense, ok := remap[c]
-		if !ok {
-			dense = int32(len(remap))
-			remap[c] = dense
-		}
-		codes[i] = dense
-	}
-	return codes, len(remap)
+	return kernel.DiscretizeQuantile(c.Floats(), bins)
 }
 
 // Suggestion is a candidate SC produced by profiling, with the association

@@ -78,7 +78,7 @@ func Figure8(seed int64) (*Report, error) {
 	nd := datasets.Nebraska(datasets.NebraskaOptions{Seed: seed})
 	rep := &Report{ID: "F8", Title: "Figure 8: Nebraska per-year p-values (alpha=0.3)"}
 
-	groups := nd.Rel.GroupBy([]string{"Year"})
+	groups := nd.Rel.GroupByFlat([]string{"Year"})
 	wind := Series{Name: "wind-p"}
 	sea := Series{Name: "sea-p"}
 	var windViolations, seaViolations []string

@@ -87,7 +87,7 @@ func (dc DC) violationsFast(d *relation.Relation) ([]int, error) {
 		}
 		groups = append(groups, rows)
 	} else {
-		byKey := d.GroupBy(eqCols)
+		byKey := d.GroupByFlat(eqCols)
 		for _, k := range relation.SortedGroupKeys(byKey) {
 			groups = append(groups, byKey[k])
 		}

@@ -82,7 +82,7 @@ func (f FD) ViolationCounts(d *relation.Relation) ([]int, error) {
 	counts := make([]int, n)
 	// Group by LHS; within a group, a record with RHS value v conflicts
 	// with every group member holding a different RHS value.
-	groups := d.GroupBy(f.LHS)
+	groups := d.GroupByFlat(f.LHS)
 	for _, rows := range groups {
 		rhsCount := make(map[string]int)
 		for _, r := range rows {
@@ -109,7 +109,7 @@ func (f FD) ApproximationRatio(d *relation.Relation) (float64, error) {
 		return 0, nil
 	}
 	remove := 0
-	for _, rows := range d.GroupBy(f.LHS) {
+	for _, rows := range d.GroupByFlat(f.LHS) {
 		rhsCount := make(map[string]int)
 		for _, r := range rows {
 			rhsCount[d.RowKey(r, f.RHS)]++
@@ -279,7 +279,7 @@ func groupsOrWhole(d *relation.Relation, z []string) [][]int {
 		}
 		return [][]int{rows}
 	}
-	groups := d.GroupBy(z)
+	groups := d.GroupByFlat(z)
 	keys := relation.SortedGroupKeys(groups)
 	out := make([][]int, 0, len(keys))
 	for _, k := range keys {

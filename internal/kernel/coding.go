@@ -48,7 +48,7 @@ func CodesFor(d *relation.Relation, name string, bins int, rows []int) ([]int32,
 		}
 		return out, int(next)
 	}
-	return discretizeQuantile32(FloatsFor(d, name, rows), bins)
+	return DiscretizeQuantile(FloatsFor(d, name, rows), bins)
 }
 
 // FloatsFor returns the values of a numeric column over the given row
@@ -67,25 +67,12 @@ func FloatsFor(d *relation.Relation, name string, rows []int) []float64 {
 
 // DiscretizeQuantile bins values into at most `bins` quantile bins, returning
 // dense bin codes and the number of bins actually used. Ties at bin
-// boundaries collapse bins rather than splitting equal values. This is the
-// historical []int API kept for the discovery, repair and experiment code;
-// the detection hot path uses the []int32 form directly.
-func DiscretizeQuantile(vals []float64, bins int) ([]int, int) {
-	codes, k := discretizeQuantile32(vals, bins)
-	if codes == nil {
-		return nil, k
-	}
-	out := make([]int, len(codes))
-	for i, c := range codes {
-		out[i] = int(c)
-	}
-	return out, k
-}
-
-// discretizeQuantile32 is DiscretizeQuantile producing the flat []int32
-// coding the kernels consume. The bin codes are bounded by `bins`, so the
-// density remap runs over a small flat slice instead of a map.
-func discretizeQuantile32(vals []float64, bins int) ([]int32, int) {
+// boundaries collapse bins rather than splitting equal values. It is the
+// one quantile binner: detection (resident and streamed), drill-down,
+// discovery, repair and the experiments all code numeric columns through
+// it. The bin codes are bounded by `bins`, so the density remap runs over a
+// small flat slice instead of a map.
+func DiscretizeQuantile(vals []float64, bins int) ([]int32, int) {
 	n := len(vals)
 	if n == 0 {
 		return nil, 0
@@ -156,17 +143,11 @@ type Partition struct {
 	GroupVersions map[string]uint64
 }
 
-// PartitionOf computes the partition directly (the uncached path). The
-// groups come from the flat mixed-radix encoder when it applies — identical
-// map, keys and row order to GroupBy without the per-row key strings — and
-// from the string-keyed reference otherwise (GroupByFlat's documented
-// fallback cases; equivalence is pinned by the property tests in
-// internal/relation).
+// PartitionOf computes the partition directly (the uncached path) through
+// relation.GroupByFlat, whose equivalence with the string-keyed reference
+// is pinned by the property tests in internal/relation.
 func PartitionOf(d *relation.Relation, z []string) *Partition {
-	groups, ok := d.GroupByFlat(z)
-	if !ok {
-		groups = d.GroupBy(z)
-	}
+	groups := d.GroupByFlat(z)
 	return &Partition{
 		Cols:     append([]string(nil), z...),
 		CacheKey: partitionCacheKey(z),

@@ -20,9 +20,11 @@ import (
 // codes in first-occurrence order over the stratum's rows (chunks arrive
 // in row order, so the order is the same), and numeric columns destined
 // for a contingency table are buffered per stratum so quantile bin edges
-// are computed over the full stratum, just like the resident path. Group
-// keys concatenate column values with the relation.RowKey separator, so
-// stratum keys are byte-identical to PartitionOf's.
+// are computed over the full stratum, just like the resident path. Each
+// chunk is grouped by its Z codes through relation.GroupIDs, the core of
+// GroupByFlat, and only each group's first row renders its stratum key in
+// relation.RowKey form, so stratum keys are byte-identical to
+// PartitionOf's.
 
 // StreamColumn describes one column of a streamed dataset.
 type StreamColumn struct {
@@ -32,11 +34,33 @@ type StreamColumn struct {
 
 // StreamSource describes a dataset that can be scanned as segment chunks.
 // Scan must deliver every row exactly once, in row order, as
-// self-contained segments (store.Scan or store.ScanChunks semantics).
+// self-contained segments (store.ScanManifest semantics).
 type StreamSource struct {
 	Columns []StreamColumn
 	Rows    int
 	Scan    func(ctx context.Context, fn func(*store.Segment) error) error
+}
+
+// StoreSource is the StreamSource of a stored dataset pinned at manifest
+// m: the schema, Rows and every Scan pass come from m, in windows of at
+// most maxRows rows (<= 0: whole segments). A multi-pass run therefore
+// sees one version even while appends land.
+func StoreSource(st *store.Store, m *store.Manifest, maxRows int) StreamSource {
+	cols := make([]StreamColumn, len(m.Schema))
+	for i, c := range m.Schema {
+		kind := relation.Numeric
+		if c.Kind == store.ColKindCategorical {
+			kind = relation.Categorical
+		}
+		cols[i] = StreamColumn{Name: c.Name, Kind: kind}
+	}
+	return StreamSource{
+		Columns: cols,
+		Rows:    m.Rows,
+		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
+			return st.ScanManifest(ctx, m, maxRows, fn)
+		},
+	}
 }
 
 // Streamer runs per-constraint statistic passes over a StreamSource. It
@@ -180,12 +204,6 @@ func (s *Streamer) run(ctx context.Context, p *streamPair) (*StreamResult, error
 	return s.finalize(p)
 }
 
-// chunkAccessor reads one column of one chunk as group-key strings,
-// categorical strings, or floats.
-type chunkAccessor struct {
-	col *store.SegmentColumn
-}
-
 func (s *Streamer) chunkColumn(seg *store.Segment, name string) (*store.SegmentColumn, error) {
 	for i := range seg.Cols {
 		if seg.Cols[i].Name != name {
@@ -201,23 +219,14 @@ func (s *Streamer) chunkColumn(seg *store.Segment, name string) (*store.SegmentC
 	return nil, fmt.Errorf("kernel: stream chunk lacks column %q", name)
 }
 
-// keyString renders row i of the column exactly as relation StringAt
-// does, so streamed group keys match partition keys byte for byte.
-func (a chunkAccessor) keyString(i int) string {
-	if a.col.Kind == store.ColKindCategorical {
-		return a.col.Dict[a.col.Codes[i]]
-	}
-	return relation.FormatFloat(a.col.Floats[i])
-}
-
 func (s *Streamer) consumeChunk(p *streamPair, seg *store.Segment) error {
-	zCols := make([]chunkAccessor, len(p.z))
+	zCols := make([]*store.SegmentColumn, len(p.z))
 	for i, name := range p.z {
 		c, err := s.chunkColumn(seg, name)
 		if err != nil {
 			return err
 		}
-		zCols[i] = chunkAccessor{col: c}
+		zCols[i] = c
 	}
 	xCol, err := s.chunkColumn(seg, p.x)
 	if err != nil {
@@ -230,23 +239,25 @@ func (s *Streamer) consumeChunk(p *streamPair, seg *store.Segment) error {
 	xCat := xCol.Kind == store.ColKindCategorical
 	yCat := yCol.Kind == store.ColKindCategorical
 
-	var touched []*streamStratum
-	var keyBuf strings.Builder
-	for i := 0; i < seg.Rows; i++ {
-		keyBuf.Reset()
-		for j := range zCols {
-			if j > 0 {
-				keyBuf.WriteByte('\x1f')
-			}
-			keyBuf.WriteString(zCols[j].keyString(i))
-		}
-		key := keyBuf.String()
+	// Group the chunk's rows by their Z codes, then resolve each
+	// chunk-local group to its stratum once, through the key its first row
+	// renders.
+	gids, first := chunkGroups(seg.Rows, zCols)
+	local := make([]*streamStratum, len(first))
+	for g, row := range first {
+		key := stratumKey(zCols, row)
 		st, ok := p.strata[key]
 		if !ok {
 			st = s.newStratum(p, xCat, yCat)
 			p.strata[key] = st
 			p.order = append(p.order, key)
 		}
+		local[g] = st
+	}
+
+	var touched []*streamStratum
+	for i, g := range gids {
+		st := local[g]
 		st.size++
 		if p.kendall {
 			if len(st.scratchX) == 0 {
@@ -282,6 +293,45 @@ func (s *Streamer) consumeChunk(p *streamPair, seg *store.Segment) error {
 		st.scratchY = st.scratchY[:0]
 	}
 	return nil
+}
+
+// chunkGroups groups a chunk's rows by their values on the Z columns
+// through relation.GroupIDs: categorical columns contribute the segment's
+// chunk-local dictionary codes, numeric ones relation.DenseFloatCodes (the
+// equality rule GroupByFlat uses), so rows in one group render one
+// stratum key.
+func chunkGroups(rows int, zCols []*store.SegmentColumn) ([]int32, []int) {
+	codes := make([][]int32, len(zCols))
+	cards := make([]int, len(zCols))
+	for j, c := range zCols {
+		if c.Kind != store.ColKindCategorical {
+			codes[j], cards[j] = relation.DenseFloatCodes(c.Floats)
+			continue
+		}
+		codes[j] = make([]int32, rows)
+		for i, v := range c.Codes {
+			codes[j][i] = int32(v)
+		}
+		cards[j] = len(c.Dict)
+	}
+	return relation.GroupIDs(codes, cards, rows)
+}
+
+// stratumKey renders row i's stratum key exactly as relation.RowKey does,
+// so streamed stratum keys match partition keys byte for byte.
+func stratumKey(zCols []*store.SegmentColumn, i int) string {
+	var b strings.Builder
+	for j, c := range zCols {
+		if j > 0 {
+			b.WriteByte('\x1f')
+		}
+		if c.Kind == store.ColKindCategorical {
+			b.WriteString(c.Dict[c.Codes[i]])
+		} else {
+			b.WriteString(relation.FormatFloat(c.Floats[i]))
+		}
+	}
+	return b.String()
 }
 
 func (s *Streamer) newStratum(p *streamPair, xCat, yCat bool) *streamStratum {
@@ -327,13 +377,13 @@ func (s *Streamer) finalize(p *streamPair) (*StreamResult, error) {
 		if st.coderX != nil {
 			kx = int(st.coderX.next)
 		} else {
-			xCodes, kx = discretizeQuantile32(st.bufX, p.bins)
+			xCodes, kx = DiscretizeQuantile(st.bufX, p.bins)
 		}
 		yCodes, ky := st.codesY, 0
 		if st.coderY != nil {
 			ky = int(st.coderY.next)
 		} else {
-			yCodes, ky = discretizeQuantile32(st.bufY, p.bins)
+			yCodes, ky = DiscretizeQuantile(st.bufY, p.bins)
 		}
 		out.Table = stats.TableFromCodes(xCodes, yCodes, kx, ky)
 		res.Strata[key] = out

@@ -22,7 +22,6 @@ import (
 	"scoded/internal/detect"
 	"scoded/internal/detectbench"
 	"scoded/internal/kernel"
-	"scoded/internal/relation"
 	"scoded/internal/store"
 )
 
@@ -107,21 +106,7 @@ func newStoredWorkload(seed int64, dir string) (*storedWorkload, *store.Manifest
 // streamer builds a kernel.Streamer over the stored dataset at the given
 // window granularity (0 = whole segments).
 func (sw *storedWorkload) streamer(m *store.Manifest, window int) (*kernel.Streamer, error) {
-	cols := make([]kernel.StreamColumn, len(m.Schema))
-	for i, c := range m.Schema {
-		kind := relation.Numeric
-		if c.Kind == store.ColKindCategorical {
-			kind = relation.Categorical
-		}
-		cols[i] = kernel.StreamColumn{Name: c.Name, Kind: kind}
-	}
-	return kernel.NewStreamer(kernel.StreamSource{
-		Columns: cols,
-		Rows:    m.Rows,
-		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
-			return sw.st.ScanChunks(ctx, "bench", window, fn)
-		},
-	})
+	return kernel.NewStreamer(kernel.StoreSource(sw.st, m, window))
 }
 
 // checkStream runs the family through CheckAllStream, panicking on any

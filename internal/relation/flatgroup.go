@@ -1,102 +1,46 @@
 package relation
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
-// maxFlatRadix bounds the mixed-radix composite id space of GroupByFlat.
-// Beyond it the composite could overflow, and the caller falls back to the
-// string-keyed reference.
+// maxFlatRadix bounds the mixed-radix composite id space GroupIDs builds
+// before it re-densifies the partial composite.
 const maxFlatRadix = int64(1) << 31
 
 // denseRemapCutoff is the largest composite-id space for which the gid
 // remap uses a flat array instead of an int64-keyed map.
 const denseRemapCutoff = int64(1) << 20
 
-// GroupByFlat computes the same partition as GroupBy(names) — the identical
-// map, key strings and row order — without building a per-row key string.
-// Rows are first encoded as flat []int32 code vectors per column
-// (categorical columns reuse their dictionary codes; numeric columns are
-// densified by exact float equality with all NaNs collapsing to one code,
-// matching formatFloat which renders every NaN as "NaN"), the vectors are
-// combined into one mixed-radix composite id per row, and only the first
-// row of each distinct group renders its key string. On the 20k-row
-// benchmark workload this replaces 20 000 per-row string builds and
-// string-map inserts per conditioning set with one per group.
+// GroupByFlat partitions the row indices by the value tuple over the named
+// columns. The map is keyed by RowKey and each group's member list
+// preserves row order, but no per-row key string is built: rows are
+// encoded as flat []int32 code vectors per column (categorical columns
+// reuse their dictionary codes; numeric columns go through DenseFloatCodes),
+// GroupIDs combines the vectors into dense group ids, and only the first
+// row of each group renders its key string. On the 20k-row benchmark
+// workload this replaces 20 000 per-row string builds and string-map
+// inserts per conditioning set with one per group.
 //
-// ok is false when the fast path cannot run — an empty column list, a
-// composite space too large for int64 mixed radix, or (defensively) two
-// distinct code vectors rendering the same key string — and the caller must
-// use GroupBy. Group member slices are views into one shared arena; callers
-// must treat them as read-only, which the Partition sharing contract
-// already requires.
-func (r *Relation) GroupByFlat(names []string) (map[string][]int, bool) {
-	if len(names) == 0 {
-		return nil, false
-	}
+// An empty column list yields one group keyed "" holding every row. Group
+// member slices are views into one shared arena; callers must treat them
+// as read-only, which the Partition sharing contract already requires.
+func (r *Relation) GroupByFlat(names []string) map[string][]int {
 	n := r.NumRows()
 	if n == 0 {
-		return map[string][]int{}, true
+		return map[string][]int{}
 	}
-
-	// Per-column dense codes and the composite radix.
 	codes := make([][]int32, len(names))
-	rads := make([]int64, len(names))
-	radix := int64(1)
+	cards := make([]int, len(names))
 	for ci, name := range names {
-		col, k := r.MustColumn(name).denseCodes()
-		if k == 0 || radix > maxFlatRadix/int64(k) {
-			return nil, false
-		}
-		radix *= int64(k)
-		codes[ci] = col
-		rads[ci] = int64(k)
+		codes[ci], cards[ci] = r.MustColumn(name).denseCodes()
 	}
-
-	// Mixed-radix composite id per row, remapped to first-occurrence dense
-	// group ids. Small composite spaces remap through a flat array; larger
-	// ones through an int64-keyed map (one entry per distinct group, not per
-	// row).
-	gids := make([]int32, n)
-	var remapDense []int32
-	var remapMap map[int64]int32
-	if radix <= denseRemapCutoff {
-		remapDense = make([]int32, radix)
-		for i := range remapDense {
-			remapDense[i] = -1
-		}
-	} else {
-		remapMap = make(map[int64]int32)
-	}
-	next := int32(0)
-	var first []int // first row of each group, by gid
-	for i := 0; i < n; i++ {
-		id := int64(0)
-		for ci := range codes {
-			id = id*rads[ci] + int64(codes[ci][i])
-		}
-		var g int32
-		if remapDense != nil {
-			g = remapDense[id]
-			if g < 0 {
-				g = next
-				next++
-				remapDense[id] = g
-				first = append(first, i)
-			}
-		} else {
-			var ok bool
-			g, ok = remapMap[id]
-			if !ok {
-				g = next
-				next++
-				remapMap[id] = g
-				first = append(first, i)
-			}
-		}
-		gids[i] = g
-	}
+	gids, first := GroupIDs(codes, cards, n)
+	next := int32(len(first))
 
 	// Group sizes, then one arena filled in row order so every group's
-	// member list preserves row order exactly as GroupBy's appends do.
+	// member list preserves row order.
 	starts := make([]int32, next+1)
 	for _, g := range gids {
 		starts[g+1]++
@@ -115,24 +59,98 @@ func (r *Relation) GroupByFlat(names []string) (map[string][]int, bool) {
 	out := make(map[string][]int, next)
 	for g := int32(0); g < next; g++ {
 		key := r.RowKey(first[g], names)
-		if _, dup := out[key]; dup {
-			// Two distinct code vectors rendered the same key string. By the
-			// formatFloat injectivity argument this cannot happen, but the
-			// reference path is the contract — fall back to it.
-			return nil, false
+		rows := arena[starts[g]:starts[g+1]:starts[g+1]]
+		if prev, dup := out[key]; dup {
+			// Distinct code vectors can render one key only when a value
+			// contains the RowKey separator; the key is the group's identity,
+			// so the rows merge.
+			rows = mergeRows(prev, rows)
 		}
-		out[key] = arena[starts[g]:starts[g+1]:starts[g+1]]
+		out[key] = rows
 	}
-	return out, true
+	return out
+}
+
+// mergeRows merges two ascending row lists into a new ascending list.
+func mergeRows(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	out = append(out, a...)
+	out = append(out, b...)
+	sort.Ints(out)
+	return out
+}
+
+// GroupIDs combines per-row code vectors into dense group ids. codes[c][i]
+// is row i's code in column c, in [0, cards[c]); n is the row count (all
+// rows share one group when there are no columns). It returns each row's
+// group id, assigned in first-occurrence order, and each group's first
+// row. Rows get the same id exactly when they agree on every column.
+//
+// The columns fold into one mixed-radix composite id per row, remapped to
+// dense ids at the end. When the next column would push the composite
+// space past maxFlatRadix, the partial composite is re-densified first, so
+// the space restarts at its group count (at most n) and the int64 ids never
+// overflow for any column count.
+func GroupIDs(codes [][]int32, cards []int, n int) (gids []int32, first []int) {
+	ids := make([]int64, n)
+	radix := int64(1)
+	for ci, col := range codes {
+		k := int64(cards[ci])
+		if k > 1 && radix > maxFlatRadix/k {
+			dense, groups := denseIDs(ids, radix)
+			for i, g := range dense {
+				ids[i] = int64(g)
+			}
+			radix = int64(len(groups))
+		}
+		for i, c := range col {
+			ids[i] = ids[i]*k + int64(c)
+		}
+		radix *= k
+	}
+	return denseIDs(ids, radix)
+}
+
+// denseIDs remaps composite ids in [0, radix) to dense ids in
+// first-occurrence order, returning them with each id's first row. Small
+// spaces remap through a flat array; larger ones through an int64-keyed
+// map (one entry per distinct group, not per row).
+func denseIDs(ids []int64, radix int64) ([]int32, []int) {
+	gids := make([]int32, len(ids))
+	var first []int
+	if radix <= denseRemapCutoff {
+		remap := make([]int32, radix)
+		for i := range remap {
+			remap[i] = -1
+		}
+		for i, id := range ids {
+			g := remap[id]
+			if g < 0 {
+				g = int32(len(first))
+				remap[id] = g
+				first = append(first, i)
+			}
+			gids[i] = g
+		}
+		return gids, first
+	}
+	remap := make(map[int64]int32)
+	for i, id := range ids {
+		g, ok := remap[id]
+		if !ok {
+			g = int32(len(first))
+			remap[id] = g
+			first = append(first, i)
+		}
+		gids[i] = g
+	}
+	return gids, first
 }
 
 // denseCodes returns a per-row dense int32 coding of the column and its
 // cardinality. Categorical columns reuse their dictionary codes (the
-// dictionary is dense by construction). Numeric columns assign codes by
-// exact float equality in first-occurrence order, with every NaN mapped to
-// one shared code — the same equivalence classes formatFloat induces on the
-// string side (distinct non-NaN floats render distinct strings; -0 and +0
-// compare equal and both render "0").
+// dictionary is dense by construction); numeric columns go through
+// DenseFloatCodes.
 func (c *Column) denseCodes() ([]int32, int) {
 	if c.Kind == Categorical {
 		out := make([]int32, len(c.codes))
@@ -141,11 +159,20 @@ func (c *Column) denseCodes() ([]int32, int) {
 		}
 		return out, len(c.dict)
 	}
-	out := make([]int32, len(c.values))
+	return DenseFloatCodes(c.values)
+}
+
+// DenseFloatCodes codes values by exact float equality in first-occurrence
+// order, with every NaN mapped to one shared code, and returns the codes
+// with their count. These are the equivalence classes FormatFloat induces
+// on the string side: distinct non-NaN floats render distinct strings,
+// -0 and +0 compare equal and both render "0", and every NaN renders "NaN".
+func DenseFloatCodes(vals []float64) ([]int32, int) {
+	out := make([]int32, len(vals))
 	remap := make(map[float64]int32, 16)
 	nanCode := int32(-1)
 	next := int32(0)
-	for i, v := range c.values {
+	for i, v := range vals {
 		if math.IsNaN(v) {
 			if nanCode < 0 {
 				nanCode = next

@@ -8,16 +8,24 @@ import (
 	"testing"
 )
 
-// assertFlatMatchesGroupBy drills the equivalence contract: when GroupByFlat
-// reports ok it must return the identical map — same key strings, same member
-// rows, same row order — as the string-keyed reference.
+// GroupBy is the string-keyed reference partition: one RowKey build and
+// one map append per row. GroupByFlat must reproduce its map exactly.
+func (r *Relation) GroupBy(names []string) map[string][]int {
+	out := make(map[string][]int)
+	for i := 0; i < r.NumRows(); i++ {
+		k := r.RowKey(i, names)
+		out[k] = append(out[k], i)
+	}
+	return out
+}
+
+// assertFlatMatchesGroupBy drills the equivalence contract: GroupByFlat
+// must return the identical map — same key strings, same member rows, same
+// row order — as the string-keyed reference.
 func assertFlatMatchesGroupBy(t *testing.T, r *Relation, names []string) {
 	t.Helper()
 	want := r.GroupBy(names)
-	got, ok := r.GroupByFlat(names)
-	if !ok {
-		t.Fatalf("GroupByFlat(%v) bailed on a workload it should handle", names)
-	}
+	got := r.GroupByFlat(names)
 	if len(got) != len(want) {
 		t.Fatalf("GroupByFlat(%v): %d groups, GroupBy: %d", names, len(got), len(want))
 	}
@@ -90,10 +98,7 @@ func TestGroupByFlatAdversarial(t *testing.T) {
 		// All NaNs must land in ONE group (formatFloat renders each as
 		// "NaN"), and -0/+0 must share a group (they compare equal and both
 		// render "0").
-		groups, ok := r.GroupByFlat([]string{"F"})
-		if !ok {
-			t.Fatal("GroupByFlat bailed on NaN workload")
-		}
+		groups := r.GroupByFlat([]string{"F"})
 		if got := groups["NaN"]; !reflect.DeepEqual(got, []int{1, 4, 6}) {
 			t.Fatalf("NaN group = %v, want [1 4 6]", got)
 		}
@@ -109,9 +114,8 @@ func TestGroupByFlatAdversarial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups, ok := r.GroupByFlat([]string{"C", "F"})
-		if !ok || len(groups) != 0 {
-			t.Fatalf("empty relation: got (%v, %v), want (empty map, true)", groups, ok)
+		if groups := r.GroupByFlat([]string{"C", "F"}); len(groups) != 0 {
+			t.Fatalf("empty relation: got %v, want an empty map", groups)
 		}
 	})
 
@@ -137,23 +141,29 @@ func TestGroupByFlatAdversarial(t *testing.T) {
 	})
 }
 
-func TestGroupByFlatFallbacks(t *testing.T) {
-	r, err := New(NewCategoricalColumn("C", []string{"a", "b"}))
+// TestGroupByFlatOverflowComposite covers the edges of the composite
+// encoding: an empty column list, a composite space past maxFlatRadix
+// (re-densified mid-fold), and values holding the RowKey separator, whose
+// distinct code vectors render one key.
+func TestGroupByFlatOverflowComposite(t *testing.T) {
+	r, err := New(NewCategoricalColumn("C", []string{"a", "b", "a"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.GroupByFlat(nil); ok {
-		t.Fatal("GroupByFlat(nil) must bail: GroupBy defines the empty-list contract")
-	}
+	assertFlatMatchesGroupBy(t, r, nil)
 
-	// A composite space past maxFlatRadix must bail rather than overflow:
-	// many high-cardinality numeric columns multiply past 2^31.
+	// Many high-cardinality numeric columns multiply past 2^31, and the
+	// eight all-distinct ones past 2^64; the partial composite is
+	// re-densified before each overflowing column.
 	n := 300
-	cols := make([]*Column, 0, 6)
-	for c := 0; c < 6; c++ {
+	cols := make([]*Column, 0, 8)
+	for c := 0; c < 8; c++ {
 		vals := make([]float64, n)
 		for i := range vals {
-			vals[i] = float64(i) + float64(c)/8
+			vals[i] = float64(i%(50+c)) + float64(c)/8
+			if c >= 6 {
+				vals[i] = float64(i) + float64(c)/8
+			}
 		}
 		cols = append(cols, NewNumericColumn(fmt.Sprintf("F%d", c), vals))
 	}
@@ -161,15 +171,22 @@ func TestGroupByFlatFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"F0", "F1", "F2", "F3", "F4", "F5"}
-	if _, ok := wide.GroupByFlat(names); ok {
-		t.Fatal("GroupByFlat must bail when the mixed-radix space exceeds maxFlatRadix")
+	for _, names := range [][]string{
+		{"F0", "F1", "F2", "F3", "F4", "F5"},
+		{"F5", "F4", "F3", "F2", "F1", "F0", "F1"},
+		{"F6", "F7", "F6", "F7", "F6", "F7", "F6", "F7"},
+	} {
+		assertFlatMatchesGroupBy(t, wide, names)
 	}
-	// And the caller-side fallback (kernel.PartitionOf mirrors this) still
-	// produces the reference grouping.
-	if got := wide.GroupBy(names); len(got) != n {
-		t.Fatalf("fallback GroupBy: %d groups, want %d", len(got), n)
+
+	sep, err := New(
+		NewCategoricalColumn("A", []string{"a\x1fb", "a", "a", "a\x1fb"}),
+		NewCategoricalColumn("B", []string{"c", "b\x1fc", "c", "c"}),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertFlatMatchesGroupBy(t, sep, []string{"A", "B"})
 }
 
 // TestGroupByFlatLargeSparseRemap pushes the composite space past the dense

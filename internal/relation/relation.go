@@ -390,19 +390,7 @@ func (r *Relation) DistinctRows(names []string) map[string]int {
 	return out
 }
 
-// GroupBy partitions the row indices by the value tuple over the named
-// columns. The returned map is keyed by RowKey. Group member lists preserve
-// row order.
-func (r *Relation) GroupBy(names []string) map[string][]int {
-	out := make(map[string][]int)
-	for i := 0; i < r.NumRows(); i++ {
-		k := r.RowKey(i, names)
-		out[k] = append(out[k], i)
-	}
-	return out
-}
-
-// SortedGroupKeys returns the group keys of GroupBy(names) in sorted order,
+// SortedGroupKeys returns the group keys of GroupByFlat(names) in sorted order,
 // for deterministic iteration.
 func SortedGroupKeys(groups map[string][]int) []string {
 	keys := make([]string, 0, len(groups))

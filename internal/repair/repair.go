@@ -16,7 +16,7 @@ import (
 	"math"
 	"sort"
 
-	"scoded/internal/detect"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
@@ -148,7 +148,7 @@ func strataFor(d *relation.Relation, c sc.SC, opts Options) [][]int {
 		}
 		return [][]int{rows}
 	}
-	groups := d.GroupBy(c.Z)
+	groups := d.GroupByFlat(c.Z)
 	keys := relation.SortedGroupKeys(groups)
 	var out [][]int
 	for _, k := range keys {
@@ -236,17 +236,17 @@ func newGState(d *relation.Relation, c sc.SC, rows []int) (*gState, error) {
 
 // codesAndLevels returns dense codes and the level display names of a
 // column over a row subset; numeric columns use quantile-bin labels.
-func codesAndLevels(d *relation.Relation, name string, rows []int) ([]int, []string) {
+func codesAndLevels(d *relation.Relation, name string, rows []int) ([]int32, []string) {
 	col := d.MustColumn(name)
 	if col.Kind == relation.Categorical {
-		remap := make(map[int]int)
+		remap := make(map[int]int32)
 		var levels []string
-		out := make([]int, len(rows))
+		out := make([]int32, len(rows))
 		for i, r := range rows {
 			code := col.Code(r)
 			dense, ok := remap[code]
 			if !ok {
-				dense = len(remap)
+				dense = int32(len(remap))
 				remap[code] = dense
 				levels = append(levels, col.StringAt(r))
 			}
@@ -258,7 +258,7 @@ func codesAndLevels(d *relation.Relation, name string, rows []int) ([]int, []str
 	for i, r := range rows {
 		vals[i] = col.Value(r)
 	}
-	codes, nBins := detect.DiscretizeQuantile(vals, 4)
+	codes, nBins := kernel.DiscretizeQuantile(vals, 4)
 	levels := make([]string, nBins)
 	for b := range levels {
 		levels[b] = fmt.Sprintf("bin%d", b)

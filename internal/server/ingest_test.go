@@ -236,8 +236,22 @@ func TestRecordsClientDisconnectMidBatch(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Let the batch get going, then vanish.
-	time.Sleep(300 * time.Millisecond)
+	// Vanish once the batch is under way. Decoding a body this size takes
+	// long enough that a fixed sleep often cancels before the first insert,
+	// so wait for the handler to take the monitor lock it holds across
+	// InsertBatch (nothing else in this test contends for it), then give
+	// the insert loop a short head start: the whole batch takes seconds, so
+	// the cancel lands well inside it.
+	m := s.monitors[1]
+	started := time.Now()
+	for m.mu.TryLock() {
+		m.mu.Unlock()
+		if time.Since(started) > 15*time.Second {
+			t.Fatal("records batch never reached the insert loop")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
@@ -250,7 +264,6 @@ func TestRecordsClientDisconnectMidBatch(t *testing.T) {
 
 	// The monitor retains the inserted prefix (the insert loop stopped),
 	// not the whole batch.
-	m := s.monitors[1]
 	m.mu.Lock()
 	observed := m.observed
 	m.mu.Unlock()

@@ -21,10 +21,9 @@ import (
 //     of points, not on how the rows were split, so any merge tree yields
 //     the same integers and the final float arithmetic (copied verbatim
 //     from kendallFromPrep) yields the same bits as a single-shot Kendall.
-//   - MomentPartial: raw power sums merge by addition. The sums are
-//     algebraically exact but float-order-sensitive, so derived quantities
-//     carry a 1e-12 contract rather than bit identity; the streaming
-//     CheckAll path does not use them (Pearson/Spearman stay resident-only).
+//
+// Pearson and Spearman have no partial: their float sums are
+// order-sensitive, so the streaming CheckAll path leaves them resident-only.
 
 // TablePartial accumulates a contingency table of dense code pairs. The
 // zero value is ready to use; dimensions grow to cover the largest codes
@@ -424,89 +423,4 @@ func (f *fenwick) prefix(r int) int64 {
 		s += f.tree[r]
 	}
 	return s
-}
-
-// MomentPartial accumulates raw bivariate power sums. Merging adds the
-// sums, which is algebraically exact; because float addition is not
-// associative, derived quantities (means, variances, correlation) agree
-// with the single-pass formulas to 1e-12 relative error, not bit-for-bit.
-// The streaming CheckAll path therefore never substitutes moments for the
-// resident Pearson/Spearman computations; the type serves monitors and
-// benchmarks that tolerate the documented tolerance.
-type MomentPartial struct {
-	Count                           int64
-	SumX, SumY, SumXX, SumYY, SumXY float64
-}
-
-// Observe adds one paired observation.
-func (p *MomentPartial) Observe(x, y float64) {
-	p.Count++
-	p.SumX += x
-	p.SumY += y
-	p.SumXX += x * x
-	p.SumYY += y * y
-	p.SumXY += x * y
-}
-
-// Merge folds o into p by summing counts and power sums.
-func (p *MomentPartial) Merge(o *MomentPartial) {
-	p.Count += o.Count
-	p.SumX += o.SumX
-	p.SumY += o.SumY
-	p.SumXX += o.SumXX
-	p.SumYY += o.SumYY
-	p.SumXY += o.SumXY
-}
-
-// MeanX and MeanY report the accumulated means; zero observations yield 0.
-func (p *MomentPartial) MeanX() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.SumX / float64(p.Count)
-}
-
-func (p *MomentPartial) MeanY() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.SumY / float64(p.Count)
-}
-
-// VarianceX and VarianceY are the unbiased sample variances from the
-// moment sums, clamped at zero against cancellation residue.
-func (p *MomentPartial) VarianceX() float64 {
-	return momentVariance(p.Count, p.SumX, p.SumXX)
-}
-
-func (p *MomentPartial) VarianceY() float64 {
-	return momentVariance(p.Count, p.SumY, p.SumYY)
-}
-
-func momentVariance(n int64, sum, sumSq float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	fn := float64(n)
-	s := sumSq - sum*sum/fn
-	if s < 0 {
-		s = 0
-	}
-	return s / (fn - 1)
-}
-
-// Correlation is the Pearson correlation implied by the moments, clamped
-// to [-1, 1]; degenerate (constant) columns report 0 like Pearson does.
-func (p *MomentPartial) Correlation() float64 {
-	if p.Count < 2 {
-		return 0
-	}
-	fn := float64(p.Count)
-	sxx := p.SumXX - p.SumX*p.SumX/fn
-	syy := p.SumYY - p.SumY*p.SumY/fn
-	sxy := p.SumXY - p.SumX*p.SumY/fn
-	if sxx <= 0 || syy <= 0 {
-		return 0
-	}
-	return clampUnit(sxy / math.Sqrt(sxx*syy))
 }

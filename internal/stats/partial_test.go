@@ -332,65 +332,3 @@ func TestTablePartialGrowth(t *testing.T) {
 		t.Fatalf("N %d want 5", p.N())
 	}
 }
-
-func TestMomentPartialMatchesSinglePass(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	n := 500
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()*3 + 10
-		y[i] = x[i]*0.5 + rng.NormFloat64()
-	}
-	wantR, _, err := Pearson(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 1e-12
-	for _, cuts := range adversarialCuts(n, rng) {
-		xs, ys := splitPairs(x, y, cuts)
-		acc := &MomentPartial{}
-		for w := range xs {
-			p := &MomentPartial{}
-			for i := range xs[w] {
-				p.Observe(xs[w][i], ys[w][i])
-			}
-			acc.Merge(p)
-		}
-		if acc.Count != int64(n) {
-			t.Fatalf("count %d want %d", acc.Count, n)
-		}
-		checks := []struct {
-			name      string
-			got, want float64
-		}{
-			{"meanX", acc.MeanX(), Mean(x)},
-			{"meanY", acc.MeanY(), Mean(y)},
-			{"varX", acc.VarianceX(), Variance(x)},
-			{"varY", acc.VarianceY(), Variance(y)},
-			{"corr", acc.Correlation(), wantR},
-		}
-		for _, c := range checks {
-			scale := math.Abs(c.want)
-			if scale < 1 {
-				scale = 1
-			}
-			if math.Abs(c.got-c.want) > tol*scale {
-				t.Fatalf("cuts %v: %s = %v want %v", cuts, c.name, c.got, c.want)
-			}
-		}
-	}
-}
-
-func TestMomentPartialDegenerate(t *testing.T) {
-	p := &MomentPartial{}
-	if p.Correlation() != 0 || p.MeanX() != 0 || p.VarianceX() != 0 {
-		t.Fatal("empty partial must report zeros")
-	}
-	for i := 0; i < 10; i++ {
-		p.Observe(4, float64(i))
-	}
-	if got := p.Correlation(); got != 0 {
-		t.Fatalf("constant x: correlation %v want 0", got)
-	}
-}

@@ -1,12 +1,23 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"scoded/internal/relation"
 )
 
-// FuzzSegment pins the decoder's no-panic contract: arbitrary bytes must
+// parseSegment runs the segment parser over in-memory bytes and reads the
+// whole segment as one window.
+func parseSegment(data []byte) (*Segment, error) {
+	r, err := newSegmentReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return r.ReadWindow(0, r.Rows())
+}
+
+// FuzzSegment pins the parser's no-panic contract: arbitrary bytes must
 // produce either a valid Segment or an error — never a panic or a
 // length-driven absurd allocation. Decoded segments must satisfy the
 // structural invariants the materializer relies on.
@@ -27,7 +38,7 @@ func FuzzSegment(f *testing.F) {
 	f.Add([]byte(segmentMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seg, err := decodeSegment(data)
+		seg, err := parseSegment(data)
 		if err != nil {
 			return
 		}

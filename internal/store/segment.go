@@ -26,9 +26,7 @@ import (
 //
 // Segments are immutable once written: a crashed writer leaves either a
 // temp file (never referenced) or a fully renamed file whose CRC seals it.
-// The decoder validates every length against the remaining input before
-// allocating, so corrupt or adversarial bytes fail with an error instead
-// of a panic or an absurd allocation (FuzzSegment pins that contract).
+// SegmentReader (window.go) is the one parser.
 
 const (
 	segmentMagic  = "SCSG"
@@ -114,166 +112,6 @@ func encodeSegment(rel *relation.Relation, lo, hi int) ([]byte, error) {
 	sum := crc32.ChecksumIEEE(buf.Bytes())
 	writeU32(&buf, sum)
 	return buf.Bytes(), nil
-}
-
-// decodeSegment parses and validates a segment. It never panics: every
-// length is checked against the remaining input before use.
-func decodeSegment(data []byte) (*Segment, error) {
-	if len(data) < len(segmentMagic)+2+4+4+4 {
-		return nil, fmt.Errorf("store: segment too short (%d bytes)", len(data))
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("store: segment checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	r := &byteReader{data: body}
-	magic, err := r.bytes(4)
-	if err != nil || string(magic) != segmentMagic {
-		return nil, fmt.Errorf("store: bad segment magic %q", magic)
-	}
-	format, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if format != segmentFormat {
-		return nil, fmt.Errorf("store: unsupported segment format %d", format)
-	}
-	ncols, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nrows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	// A column block is at least 3 bytes (empty name + kind); a categorical
-	// column needs 4 bytes of dict count plus 4 per row; a numeric one 8
-	// per row. Bound the declared counts by what the input could hold.
-	if int64(ncols)*3 > int64(r.remaining()) {
-		return nil, fmt.Errorf("store: segment declares %d columns in %d bytes", ncols, r.remaining())
-	}
-	seg := &Segment{Rows: int(nrows), Cols: make([]SegmentColumn, 0, ncols)}
-	for ci := uint32(0); ci < ncols; ci++ {
-		nameLen, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		name, err := r.bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		col := SegmentColumn{Name: string(name)}
-		switch kind {
-		case kindCategorical:
-			col.Kind = ColKindCategorical
-			dictN, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			if int64(dictN)*4 > int64(r.remaining()) {
-				return nil, fmt.Errorf("store: column %q declares %d dictionary entries in %d bytes", col.Name, dictN, r.remaining())
-			}
-			col.Dict = make([]string, 0, dictN)
-			for di := uint32(0); di < dictN; di++ {
-				vlen, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				v, err := r.bytes(int(vlen))
-				if err != nil {
-					return nil, err
-				}
-				col.Dict = append(col.Dict, string(v))
-			}
-			if int64(nrows)*4 > int64(r.remaining()) {
-				return nil, fmt.Errorf("store: column %q declares %d rows in %d bytes", col.Name, nrows, r.remaining())
-			}
-			col.Codes = make([]uint32, nrows)
-			for i := range col.Codes {
-				code, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				if code >= dictN {
-					return nil, fmt.Errorf("store: column %q code %d out of dictionary range %d", col.Name, code, dictN)
-				}
-				col.Codes[i] = code
-			}
-		case kindNumeric:
-			col.Kind = ColKindNumeric
-			if int64(nrows)*8 > int64(r.remaining()) {
-				return nil, fmt.Errorf("store: column %q declares %d rows in %d bytes", col.Name, nrows, r.remaining())
-			}
-			col.Floats = make([]float64, nrows)
-			for i := range col.Floats {
-				bits, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				col.Floats[i] = math.Float64frombits(bits)
-			}
-		default:
-			return nil, fmt.Errorf("store: column %q has unknown kind %d", col.Name, kind)
-		}
-		seg.Cols = append(seg.Cols, col)
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after segment body", r.remaining())
-	}
-	return seg, nil
-}
-
-// byteReader is a bounds-checked cursor over a byte slice.
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) remaining() int { return len(r.data) - r.off }
-
-func (r *byteReader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > r.remaining() {
-		return nil, fmt.Errorf("store: truncated segment (need %d bytes, have %d)", n, r.remaining())
-	}
-	out := r.data[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *byteReader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *byteReader) u16() (uint16, error) {
-	b, err := r.bytes(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *byteReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *byteReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 func writeU16(buf *bytes.Buffer, v uint16) {

@@ -465,7 +465,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := decodeSegment(data)
+	seg, err := parseSegment(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +500,8 @@ func TestSegmentRejectsBitFlip(t *testing.T) {
 	for _, i := range []int{0, len(data) / 2, len(data) - 1} {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
-		if _, err := decodeSegment(bad); err == nil {
-			t.Errorf("decodeSegment accepted a bit flip at offset %d", i)
+		if _, err := parseSegment(bad); err == nil {
+			t.Errorf("parseSegment accepted a bit flip at offset %d", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -11,15 +12,19 @@ import (
 	"path/filepath"
 )
 
-// Windowed segment reads (DESIGN.md section 16): a SegmentReader opens one
-// segment file, verifies its CRC with a single sequential streaming pass,
-// parses the header and per-column dictionaries into memory, and then
-// serves arbitrary row windows [lo, hi) with ReadAt against the
-// fixed-width code/float blocks. Only the dictionaries and one window are
-// ever resident, so a single oversized segment no longer forces a full
-// materialization.
+// Windowed segment reads (DESIGN.md section 16): a SegmentReader is the
+// one segment parser. Opening one makes a single sequential buffered pass
+// over the body that feeds the IEEE CRC-32 and parses the header and
+// per-column dictionaries on the way, skipping the fixed-width code/float
+// blocks; it then serves arbitrary row windows [lo, hi) with ReadAt
+// against those blocks. Only the dictionaries and one window are ever
+// resident, so a single oversized segment never forces a full
+// materialization. The parser validates every length against the
+// remaining input before allocating, so corrupt or adversarial bytes fail
+// with an error instead of a panic or an absurd allocation (FuzzSegment
+// pins that contract).
 
-// crcChunkSize is the buffer used for the streaming checksum pass.
+// crcChunkSize is the read buffer of the open pass.
 const crcChunkSize = 256 << 10
 
 // windowColumn is the in-memory header of one column block: everything
@@ -28,14 +33,14 @@ type windowColumn struct {
 	name  string
 	kind  string
 	dict  []string // categorical only; shared read-only across windows
-	off   int64    // file offset of the first row's fixed-width datum
+	off   int64    // offset of the first row's fixed-width datum
 	width int64    // bytes per row: 4 (codes) or 8 (floats)
 }
 
-// SegmentReader serves row windows of one immutable segment file.
+// SegmentReader serves row windows of one immutable segment.
 // It is not safe for concurrent use; each scan owns its reader.
 type SegmentReader struct {
-	f    *os.File
+	ra   io.ReaderAt // the opened file, or in-memory bytes in tests
 	rows int
 	cols []windowColumn
 }
@@ -47,7 +52,11 @@ func OpenSegment(path string) (*SegmentReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newSegmentReader(f)
+	fi, err := f.Stat()
+	var r *SegmentReader
+	if err == nil {
+		r, err = newSegmentReader(f, fi.Size())
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -55,21 +64,39 @@ func OpenSegment(path string) (*SegmentReader, error) {
 	return r, nil
 }
 
-func newSegmentReader(f *os.File) (*SegmentReader, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := fi.Size()
+// newSegmentReader verifies and parses the size-byte segment readable
+// through ra. A checksum mismatch takes precedence over a parse error:
+// corrupt bytes explain any malformed field they produce.
+func newSegmentReader(ra io.ReaderAt, size int64) (*SegmentReader, error) {
 	if size < int64(len(segmentMagic)+2+4+4+4) {
 		return nil, fmt.Errorf("store: segment too short (%d bytes)", size)
 	}
-	if err := verifySegmentCRC(f, size); err != nil {
+	h := crc32.NewIEEE()
+	body := io.TeeReader(io.NewSectionReader(ra, 0, size-4), h)
+	cur := &segmentCursor{br: bufio.NewReaderSize(body, crcChunkSize), limit: size - 4}
+	sr, parseErr := parseSegmentHeader(cur)
+	// Drain whatever the parse left so the checksum covers the whole body.
+	if _, err := io.Copy(io.Discard, cur.br); err != nil {
 		return nil, err
 	}
+	var trailer [4]byte
+	if _, err := ra.ReadAt(trailer[:], size-4); err != nil {
+		return nil, err
+	}
+	if got, want := binary.LittleEndian.Uint32(trailer[:]), h.Sum32(); got != want {
+		return nil, fmt.Errorf("store: segment checksum mismatch (got %08x, want %08x)", got, want)
+	}
+	if parseErr != nil {
+		return nil, parseErr
+	}
+	sr.ra = ra
+	return sr, nil
+}
 
-	cur := &fileCursor{f: f, limit: size - 4} // body excludes the CRC trailer
-	magic, err := cur.bytes(4)
+// parseSegmentHeader reads the header and column blocks of a segment body,
+// recording where each column's fixed-width rows live.
+func parseSegmentHeader(cur *segmentCursor) (*SegmentReader, error) {
+	magic, err := cur.read(4)
 	if err != nil {
 		return nil, err
 	}
@@ -91,16 +118,18 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A column block is at least 3 bytes (empty name + kind); bound the
+	// declared counts by what the input could hold.
 	if int64(ncols)*3 > cur.remaining() {
 		return nil, fmt.Errorf("store: segment declares %d columns in %d bytes", ncols, cur.remaining())
 	}
-	sr := &SegmentReader{f: f, rows: int(nrows), cols: make([]windowColumn, 0, ncols)}
+	sr := &SegmentReader{rows: int(nrows), cols: make([]windowColumn, 0, ncols)}
 	for ci := uint32(0); ci < ncols; ci++ {
 		nameLen, err := cur.u16()
 		if err != nil {
 			return nil, err
 		}
-		name, err := cur.bytes(int(nameLen))
+		name, err := cur.str(int64(nameLen))
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +137,7 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 		if err != nil {
 			return nil, err
 		}
-		col := windowColumn{name: string(name)}
+		col := windowColumn{name: name}
 		switch kind {
 		case kindCategorical:
 			col.kind = ColKindCategorical
@@ -126,11 +155,11 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 				if err != nil {
 					return nil, err
 				}
-				v, err := cur.bytes(int(vlen))
+				v, err := cur.str(int64(vlen))
 				if err != nil {
 					return nil, err
 				}
-				col.dict = append(col.dict, string(v))
+				col.dict = append(col.dict, v)
 			}
 		case kindNumeric:
 			col.kind = ColKindNumeric
@@ -142,7 +171,9 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 			return nil, fmt.Errorf("store: column %q declares %d rows in %d bytes", col.name, nrows, cur.remaining())
 		}
 		col.off = cur.off
-		cur.skip(int64(nrows) * col.width)
+		if err := cur.skip(int64(nrows) * col.width); err != nil {
+			return nil, err
+		}
 		sr.cols = append(sr.cols, col)
 	}
 	if cur.remaining() != 0 {
@@ -151,33 +182,16 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 	return sr, nil
 }
 
-// verifySegmentCRC streams the file once through the IEEE CRC-32 and
-// compares it against the 4-byte trailer. One sequential pass at open
-// preserves decodeSegment's corruption guarantee without holding the file
-// in memory.
-func verifySegmentCRC(f *os.File, size int64) error {
-	h := crc32.NewIEEE()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := io.CopyBuffer(h, io.LimitReader(f, size-4), make([]byte, crcChunkSize)); err != nil {
-		return err
-	}
-	var trailer [4]byte
-	if _, err := f.ReadAt(trailer[:], size-4); err != nil {
-		return err
-	}
-	if got, want := binary.LittleEndian.Uint32(trailer[:]), h.Sum32(); got != want {
-		return fmt.Errorf("store: segment checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	return nil
-}
-
 // Rows is the segment's record count.
 func (r *SegmentReader) Rows() int { return r.rows }
 
-// Close releases the underlying file.
-func (r *SegmentReader) Close() error { return r.f.Close() }
+// Close releases the underlying file, if any.
+func (r *SegmentReader) Close() error {
+	if c, ok := r.ra.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // ReadWindow decodes rows [lo, hi) into a Segment. Dictionaries are shared
 // (read-only) between windows of the same reader; code and float slices
@@ -195,7 +209,7 @@ func (r *SegmentReader) ReadWindow(lo, hi int) (*Segment, error) {
 			buf = make([]byte, need)
 		}
 		b := buf[:need]
-		if _, err := r.f.ReadAt(b, c.off+int64(lo)*c.width); err != nil {
+		if _, err := r.ra.ReadAt(b, c.off+int64(lo)*c.width); err != nil {
 			return nil, fmt.Errorf("store: column %q window read: %w", c.name, err)
 		}
 		col := SegmentColumn{Name: c.name, Kind: c.kind}
@@ -220,62 +234,73 @@ func (r *SegmentReader) ReadWindow(lo, hi int) (*Segment, error) {
 	return seg, nil
 }
 
-// fileCursor is a bounds-checked sequential reader over the body of a
-// segment file (everything before the CRC trailer), the file-backed
-// analogue of byteReader.
-type fileCursor struct {
-	f     *os.File
-	off   int64
-	limit int64
+// segmentCursor is a bounds-checked sequential reader over a segment body
+// (everything before the CRC trailer). Fixed-width fields and strings read
+// through one reused scratch buffer.
+type segmentCursor struct {
+	br      *bufio.Reader
+	off     int64
+	limit   int64
+	scratch []byte
 }
 
-func (c *fileCursor) remaining() int64 { return c.limit - c.off }
+func (c *segmentCursor) remaining() int64 { return c.limit - c.off }
 
-func (c *fileCursor) bytes(n int) ([]byte, error) {
-	if n < 0 || int64(n) > c.remaining() {
+// read returns the next n bytes, valid until the next call.
+func (c *segmentCursor) read(n int64) ([]byte, error) {
+	if n < 0 || n > c.remaining() {
 		return nil, fmt.Errorf("store: truncated segment (need %d bytes, have %d)", n, c.remaining())
 	}
-	b := make([]byte, n)
-	if _, err := c.f.ReadAt(b, c.off); err != nil {
+	if int64(cap(c.scratch)) < n {
+		c.scratch = make([]byte, n)
+	}
+	b := c.scratch[:n]
+	if _, err := io.ReadFull(c.br, b); err != nil {
 		return nil, err
 	}
-	c.off += int64(n)
+	c.off += n
 	return b, nil
 }
 
-func (c *fileCursor) skip(n int64) { c.off += n }
+func (c *segmentCursor) skip(n int64) error {
+	if _, err := c.br.Discard(int(n)); err != nil {
+		return err
+	}
+	c.off += n
+	return nil
+}
 
-func (c *fileCursor) u8() (byte, error) {
-	b, err := c.bytes(1)
+func (c *segmentCursor) str(n int64) (string, error) {
+	b, err := c.read(n)
+	return string(b), err
+}
+
+func (c *segmentCursor) u8() (byte, error) {
+	b, err := c.read(1)
 	if err != nil {
 		return 0, err
 	}
 	return b[0], nil
 }
 
-func (c *fileCursor) u16() (uint16, error) {
-	b, err := c.bytes(2)
+func (c *segmentCursor) u16() (uint16, error) {
+	b, err := c.read(2)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint16(b), nil
 }
 
-func (c *fileCursor) u32() (uint32, error) {
-	b, err := c.bytes(4)
+func (c *segmentCursor) u32() (uint32, error) {
+	b, err := c.read(4)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// ScanChunks streams dataset name as row windows of at most maxRows rows
-// each, in manifest segment order and row order within each segment. A
-// window is delivered as a self-contained *Segment (per-segment dense
-// dictionaries, same as Scan), so consumers built on Scan semantics work
-// unchanged; unlike Scan, at most maxRows rows of column data are resident
-// at a time even when one segment is oversized. maxRows <= 0 means one
-// window per segment. The context is checked between windows.
+// ScanChunks streams dataset name at its current manifest; see
+// ScanManifest.
 func (s *Store) ScanChunks(ctx context.Context, name string, maxRows int, fn func(*Segment) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -284,18 +309,40 @@ func (s *Store) ScanChunks(ctx context.Context, name string, maxRows int, fn fun
 	if err != nil {
 		return err
 	}
+	return scanManifest(ctx, dir, m, maxRows, fn)
+}
+
+// ScanManifest streams the rows of dataset m.Name exactly as manifest m
+// lists them, as row windows of at most maxRows rows each (maxRows <= 0
+// means one window per segment), in segment order and row order within
+// each segment. Each window is a self-contained *Segment with per-segment
+// dense dictionaries. Pinning the manifest is what lets a multi-pass
+// reader see one version: segments are immutable and an append only adds
+// new ones, so repeated scans of one manifest deliver the same rows while
+// appends land. The context is checked between windows.
+func (s *Store) ScanManifest(ctx context.Context, m *Manifest, maxRows int, fn func(*Segment) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return scanManifest(ctx, filepath.Join(s.dir, datasetDir(m.Name)), m, maxRows, fn)
+}
+
+// scanManifest is the one scan every reader of stored rows goes through:
+// Load, LoadLog, Verify, Compact, ScanChunks and ScanManifest. It checks
+// each segment's row count against the manifest and its columns against
+// the manifest schema.
+func scanManifest(ctx context.Context, dir string, m *Manifest, maxRows int, fn func(*Segment) error) error {
 	for _, si := range m.Segments {
-		if err := scanSegmentChunks(ctx, filepath.Join(dir, si.File), si, maxRows, fn); err != nil {
+		if err := scanSegment(ctx, filepath.Join(dir, si.File), si, m.Schema, maxRows, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanSegmentChunks opens one segment and feeds its windows to fn. Split
-// out of ScanChunks so the reader's Close is a straight defer rather than
-// a defer in a loop.
-func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows int, fn func(*Segment) error) error {
+// scanSegment opens one segment and feeds its windows to fn. Split out of
+// scanManifest so the reader's Close is a straight defer rather than a
+// defer in a loop. A zero-row segment is delivered as one empty window.
+func scanSegment(ctx context.Context, path string, si SegmentInfo, schema []SchemaCol, maxRows int, fn func(*Segment) error) error {
 	r, err := OpenSegment(path)
 	if err != nil {
 		return fmt.Errorf("store: segment %s: %w", si.File, err)
@@ -304,18 +351,25 @@ func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows
 	if r.Rows() != si.Rows {
 		return fmt.Errorf("store: segment %s holds %d rows, manifest says %d", si.File, r.Rows(), si.Rows)
 	}
+	if len(r.cols) != len(schema) {
+		return fmt.Errorf("store: segment %s has %d columns, schema has %d", si.File, len(r.cols), len(schema))
+	}
+	for i, c := range r.cols {
+		if want := schema[i]; c.name != want.Name || c.kind != want.Kind {
+			return fmt.Errorf("store: segment %s column %d is %s %q, schema has %s %q",
+				si.File, i, c.kind, c.name, want.Kind, want.Name)
+		}
+	}
 	step := maxRows
 	if step <= 0 {
 		step = r.Rows()
 	}
-	for lo := 0; lo < r.Rows(); lo += step {
+	lo := 0
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := lo + step
-		if hi > r.Rows() {
-			hi = r.Rows()
-		}
+		hi := min(lo+step, r.Rows())
 		seg, err := r.ReadWindow(lo, hi)
 		if err != nil {
 			return fmt.Errorf("store: segment %s: %w", si.File, err)
@@ -323,19 +377,8 @@ func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows
 		if err := fn(seg); err != nil {
 			return err
 		}
-	}
-	// An empty segment still yields nothing — mirror Scan, which calls fn
-	// once with the decoded (zero-row) segment. Deliver it so row-count
-	// accounting downstream matches Scan exactly.
-	if r.Rows() == 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		if lo = hi; lo >= r.Rows() {
+			return nil
 		}
-		seg, err := r.ReadWindow(0, 0)
-		if err != nil {
-			return fmt.Errorf("store: segment %s: %w", si.File, err)
-		}
-		return fn(seg)
 	}
-	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"scoded/internal/relation"
 )
 
 // flattenSegment renders a segment's rows as strings so differently
@@ -31,24 +33,40 @@ func flattenSegment(seg *Segment) []string {
 	return rows
 }
 
-func TestScanChunksMatchesScan(t *testing.T) {
+// TestScanChunksMatchesUploadedRelation scans a two-segment dataset at
+// several window sizes and requires the rows of the relations written to
+// it, in order. A scan of the manifest read before the append still
+// delivers only the first relation's rows.
+func TestScanChunksMatchesUploadedRelation(t *testing.T) {
 	s := openStore(t, t.TempDir())
-	if _, err := s.Replace("weather", testRel(t)); err != nil {
+	rel, batch := testRel(t), testBatch(t)
+	pinned, err := s.Replace("weather", rel)
+	if err != nil {
 		t.Fatalf("Replace: %v", err)
 	}
-	if _, err := s.Append("weather", testBatch(t)); err != nil {
+	if _, err := s.Append("weather", batch); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 
 	var want []string
-	if err := s.Scan("weather", func(seg *Segment) error {
-		want = append(want, flattenSegment(seg)...)
-		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
+	for _, r := range []*relation.Relation{rel, batch} {
+		for i := 0; i < r.NumRows(); i++ {
+			var sb strings.Builder
+			for ci, name := range r.Columns() {
+				if ci > 0 {
+					sb.WriteByte('|')
+				}
+				if c := r.MustColumn(name); c.Kind == relation.Categorical {
+					sb.WriteString(c.StringAt(i))
+				} else {
+					fmt.Fprintf(&sb, "%x", c.Value(i))
+				}
+			}
+			want = append(want, sb.String())
+		}
 	}
 	if len(want) != 8 {
-		t.Fatalf("Scan yielded %d rows, want 8", len(want))
+		t.Fatalf("uploaded %d rows, want 8", len(want))
 	}
 
 	for _, maxRows := range []int{0, 1, 3, 100} {
@@ -77,6 +95,17 @@ func TestScanChunksMatchesScan(t *testing.T) {
 		if maxRows == 1 && windows != 8 {
 			t.Fatalf("maxRows=1: %d windows, want 8", windows)
 		}
+	}
+
+	var old []string
+	if err := s.ScanManifest(context.Background(), pinned, 4, func(seg *Segment) error {
+		old = append(old, flattenSegment(seg)...)
+		return nil
+	}); err != nil {
+		t.Fatalf("ScanManifest: %v", err)
+	}
+	if strings.Join(old, "\n") != strings.Join(want[:rel.NumRows()], "\n") {
+		t.Fatalf("pinned scan: %q, want %q", old, want[:rel.NumRows()])
 	}
 }
 

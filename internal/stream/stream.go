@@ -27,6 +27,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"scoded/internal/stats"
 )
@@ -77,6 +78,7 @@ type CategoricalMonitor struct {
 	// re-anchored every anchorEvery mutations).
 	sumOlnO, sumRlnR, sumClnC ksum
 	mutations                 int
+	anchorScratch             []int // reused by anchor; holds sorted counts
 
 	fifo pairRing
 }
@@ -192,21 +194,32 @@ func (m *CategoricalMonitor) bumpAnchor() {
 }
 
 // anchor recomputes the three running sums exactly from the integer
-// counts, discarding any accumulated floating drift. Cost is O(cells),
-// amortized over anchorEvery mutations; it allocates nothing.
+// counts, discarding any accumulated floating drift. Each sum runs over
+// the counts in sorted order, never map order, so replaying the same
+// records yields bit-identical G and p in every process. Cost is
+// O(cells log cells), amortized over anchorEvery mutations; the sort
+// scratch is reused, so it allocates nothing once grown.
 func (m *CategoricalMonitor) anchor() {
 	m.mutations = 0
-	var o, r, c ksum
-	for _, v := range m.joint {
-		o.add(xlnx(float64(v)))
+	m.sumOlnO = sortedXlnxSum(&m.anchorScratch, m.joint)
+	m.sumRlnR = sortedXlnxSum(&m.anchorScratch, m.rowMarg)
+	m.sumClnC = sortedXlnxSum(&m.anchorScratch, m.colMarg)
+}
+
+// sortedXlnxSum Kahan-sums x ln x over the map's counts in ascending
+// order, collecting them in the reused scratch slice.
+func sortedXlnxSum[K comparable](scratch *[]int, counts map[K]int) ksum {
+	buf := (*scratch)[:0]
+	for _, v := range counts {
+		buf = append(buf, v)
 	}
-	for _, v := range m.rowMarg {
-		r.add(xlnx(float64(v)))
+	sort.Ints(buf)
+	var k ksum
+	for _, v := range buf {
+		k.add(xlnx(float64(v)))
 	}
-	for _, v := range m.colMarg {
-		c.add(xlnx(float64(v)))
-	}
-	m.sumOlnO, m.sumRlnR, m.sumClnC = o, r, c
+	*scratch = buf
+	return k
 }
 
 // N returns the current record count.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,6 +39,49 @@ func TestCategoricalMonitorMatchesBatchG(t *testing.T) {
 	}
 	if v.DF != batch.DF {
 		t.Errorf("df mismatch: %d vs %d", v.DF, batch.DF)
+	}
+}
+
+// TestCategoricalMonitorReplayDeterministic replays one record sequence
+// several times and requires bit-identical G and p at every sample point:
+// the periodic exact re-anchor must not depend on map iteration order.
+func TestCategoricalMonitorReplayDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 20000
+	xs, ys := make([]string, n), make([]string, n)
+	for i := range xs {
+		// Skewed levels give many distinct cell counts, so a reordered sum
+		// changes its last bits.
+		xi := rng.Intn(1 + rng.Intn(40))
+		xs[i] = fmt.Sprintf("x%d", xi)
+		ys[i] = fmt.Sprintf("y%d", (xi+rng.Intn(1+rng.Intn(30)))%37)
+	}
+	for _, window := range []int{0, 100, 1000, 5000} {
+		var want []Verdict
+		for run := 0; run < 6; run++ {
+			m, err := NewCategoricalMonitor(0.05, false, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Verdict
+			for i := range xs {
+				m.Insert(xs[i], ys[i])
+				if i%97 == 0 || i == n-1 {
+					got = append(got, m.Verdict())
+				}
+			}
+			if run == 0 {
+				want = got
+				continue
+			}
+			for k := range want {
+				if math.Float64bits(got[k].Statistic) != math.Float64bits(want[k].Statistic) ||
+					math.Float64bits(got[k].P) != math.Float64bits(want[k].P) {
+					t.Fatalf("window %d run %d sample %d: G=%v p=%v, first run G=%v p=%v",
+						window, run, k, got[k].Statistic, got[k].P, want[k].Statistic, want[k].P)
+				}
+			}
+		}
 	}
 }
 

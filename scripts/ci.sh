@@ -28,6 +28,18 @@ make lint
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+# Gating: the service benchmark module. svcbench is its own Go module
+# (replace scoded => ../), so the root ./... patterns skip it, yet it calls
+# the kernel, store, detect and relation APIs directly. Build, vet and test
+# it with the environment svcbench/run.sh uses.
+echo "== svcbench vet + test =="
+(
+	export GOCACHE="$PWD/svcbench/.build/gocache" GOTMPDIR="$PWD/svcbench/.build/tmp"
+	export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod
+	mkdir -p "$GOCACHE" "$GOTMPDIR"
+	go -C svcbench vet ./... && go -C svcbench test ./...
+)
+
 # Gating: the drill-down delta-argmax identity properties under the race
 # detector. These are part of the suite above; the explicit run keeps the
 # fast path's row-for-row contract visible even if the full suite is ever
