@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -59,6 +60,15 @@ func streamWorkload(t *testing.T) *relation.Relation {
 // returns a Streamer reading it back in windows of windowRows.
 func storeStreamer(t *testing.T, rel *relation.Relation, windowRows int) (*kernel.Streamer, *relation.Relation) {
 	t.Helper()
+	src, loaded := storeSource(t, rel, windowRows)
+	return newStreamer(t, src), loaded
+}
+
+// storeSource persists rel into a fresh store as three segments and
+// returns the source reading it back in windows of windowRows, with the
+// relation loaded from the store.
+func storeSource(t *testing.T, rel *relation.Relation, windowRows int) (kernel.StreamSource, *relation.Relation) {
+	t.Helper()
 	st := openTestStore(t)
 	n := rel.NumRows()
 	cut1, cut2 := n/3, 2*n/3
@@ -78,15 +88,40 @@ func storeStreamer(t *testing.T, rel *relation.Relation, windowRows int) (*kerne
 	if err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
-	streamer, err := kernel.NewStreamer(kernel.StoreSource(st, m, windowRows))
-	if err != nil {
-		t.Fatalf("NewStreamer: %v", err)
-	}
 	loaded, _, err := st.Load("w")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	return streamer, loaded
+	return kernel.StoreSource(st, m, windowRows), loaded
+}
+
+func newStreamer(t *testing.T, src kernel.StreamSource) *kernel.Streamer {
+	t.Helper()
+	streamer, err := kernel.NewStreamer(src)
+	if err != nil {
+		t.Fatalf("NewStreamer: %v", err)
+	}
+	return streamer
+}
+
+// wrapScan returns src with its Scan routed through hook, which sees the
+// context, every chunk's ordinal, and the chunk callback to forward to.
+func wrapScan(src kernel.StreamSource, hook func(ctx context.Context, chunk int, seg *store.Segment, fn func(*store.Segment) error) error) (kernel.StreamSource, *int) {
+	scans := new(int)
+	inner := src.Scan
+	src.Scan = func(ctx context.Context, fn func(*store.Segment) error) error {
+		*scans++
+		chunk := 0
+		return inner(ctx, func(seg *store.Segment) error {
+			chunk++
+			return hook(ctx, chunk, seg, fn)
+		})
+	}
+	return src, scans
+}
+
+func forward(_ context.Context, _ int, seg *store.Segment, fn func(*store.Segment) error) error {
+	return fn(seg)
 }
 
 func openTestStore(t *testing.T) *store.Store {
@@ -229,20 +264,161 @@ func TestStreamEligible(t *testing.T) {
 	}
 }
 
-// TestCheckAllStreamCancellation: a cancelled context yields per-constraint
-// errors wrapping the context error, like the pool path's drain behavior.
+// TestCheckAllStreamCancellation: a context cancelled before the scan or
+// from inside it, after the first chunk, fails every constraint with an
+// error wrapping the context error, like the pool path's drain behavior.
 func TestCheckAllStreamCancellation(t *testing.T) {
 	rel := streamWorkload(t)
-	streamer, _ := storeStreamer(t, rel, 11)
+	src, _ := storeSource(t, rel, 11)
+	family := streamFamily()[:2]
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := CheckAllStream(ctx, streamer, streamFamily()[:2], BatchOptions{})
+	got, err := CheckAllStream(ctx, newStreamer(t, src), family, BatchOptions{})
 	if err != nil {
 		t.Fatalf("CheckAllStream: %v", err)
 	}
-	for i, r := range got {
-		if r.Err == nil || !strings.Contains(r.Err.Error(), context.Canceled.Error()) {
-			t.Fatalf("result %d: Err %v, want context cancellation", i, r.Err)
+	requireAllFailed(t, "pre-cancelled", got, context.Canceled)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	midScan, _ := wrapScan(src, func(ctx context.Context, chunk int, seg *store.Segment, fn func(*store.Segment) error) error {
+		err := fn(seg)
+		if chunk == 1 {
+			cancel()
 		}
+		return err
+	})
+	got, err = CheckAllStream(ctx, newStreamer(t, midScan), family, BatchOptions{})
+	if err != nil {
+		t.Fatalf("CheckAllStream: %v", err)
+	}
+	requireAllFailed(t, "cancelled mid-scan", got, context.Canceled)
+}
+
+// TestCheckAllStreamScanError: a scan failing after some chunks fails
+// every constraint that needed it with an error wrapping the scan's, and
+// leaves constraints rejected at set-up with their own errors; nothing
+// panics and no result looks successful.
+func TestCheckAllStreamScanError(t *testing.T) {
+	rel := streamWorkload(t)
+	family := streamFamily()
+	errInjected := errors.New("injected read fault")
+	for _, after := range []int{0, 1, 5} {
+		src, loaded := storeSource(t, rel, 7)
+		failing, _ := wrapScan(src, func(_ context.Context, chunk int, seg *store.Segment, fn func(*store.Segment) error) error {
+			if chunk > after {
+				return errInjected
+			}
+			return fn(seg)
+		})
+		got, err := CheckAllStream(context.Background(), newStreamer(t, failing), family, BatchOptions{FDR: 0.1})
+		if err != nil {
+			t.Fatalf("after %d chunks: CheckAllStream: %v", after, err)
+		}
+		want, err := CheckAllContext(context.Background(), loaded, family, BatchOptions{})
+		if err != nil {
+			t.Fatalf("CheckAllContext: %v", err)
+		}
+		for i, r := range got {
+			label := fmt.Sprintf("after %d chunks, constraint %d (%s)", after, i, family[i].SC)
+			if r.Err == nil || r.Violated || r.Test != (stats.TestResult{}) || r.Strata != nil || r.Leaves != nil {
+				t.Fatalf("%s: %+v, want a failed result", label, r)
+			}
+			if errors.Is(r.Err, errInjected) {
+				continue
+			}
+			// Only a constraint rejected before the scan may keep its own
+			// error, and it must be the resident path's.
+			if strings.Contains(want[i].Err.Error(), "lacks column") && r.Err.Error() == want[i].Err.Error() {
+				continue
+			}
+			t.Fatalf("%s: Err %v, want it to wrap the scan error", label, r.Err)
+		}
+	}
+}
+
+// requireAllFailed demands every result failed with an error wrapping
+// target.
+func requireAllFailed(t *testing.T, label string, got []Result, target error) {
+	t.Helper()
+	for i, r := range got {
+		if r.Err == nil || !errors.Is(r.Err, target) {
+			t.Fatalf("%s: result %d: Err %v, want %v", label, i, r.Err, target)
+		}
+	}
+}
+
+// TestCheckAllStreamOneScan pins the single-pass plan: a whole family,
+// decomposed set constraints and failing constraints included, costs
+// exactly one Scan of the source, at every window size, and stays
+// bit-identical to the resident run. Constraints sharing a leaf read one
+// folded statistic and report identical evidence for it.
+func TestCheckAllStreamOneScan(t *testing.T) {
+	rel := streamWorkload(t)
+	family := streamFamily()
+	family = append(family,
+		sc.Approximate{SC: sc.Independence([]string{"C0"}, []string{"C1"}, []string{"Region"}), Alpha: 0.01},       // leaf of constraint 0
+		sc.Approximate{SC: sc.Independence([]string{"C0"}, []string{"C1"}, []string{"Region", "C0"}), Alpha: 0.05}, // invalid: overlapping sides
+		sc.Approximate{SC: sc.Independence([]string{"C0"}, []string{"N0", "N1"}, []string{"Region"}), Alpha: 0.05}, // numeric conditioning columns
+		sc.Approximate{SC: family[5].SC.Decompose()[0], Alpha: 0.05},                                               // first leaf of constraint 5
+	)
+	for _, windowRows := range []int{0, 1, 7, 1000} {
+		src, loaded := storeSource(t, rel, windowRows)
+		counted, scans := wrapScan(src, forward)
+		want, err := CheckAllContext(context.Background(), loaded, family, BatchOptions{Options: Options{Cache: kernel.New(loaded)}})
+		if err != nil {
+			t.Fatalf("CheckAllContext: %v", err)
+		}
+		got, err := CheckAllStream(context.Background(), newStreamer(t, counted), family, BatchOptions{})
+		if err != nil {
+			t.Fatalf("CheckAllStream: %v", err)
+		}
+		if *scans != 1 {
+			t.Fatalf("window %d: %d scans for one family, want 1", windowRows, *scans)
+		}
+		for i := range want {
+			requireSameTest(t, fmt.Sprintf("window %d constraint %d (%s)", windowRows, i, family[i].SC), got[i], want[i])
+		}
+
+		// Shared leaves: constraint 9 is constraint 0 at another alpha, and
+		// constraint 12 is constraint 5's first leaf.
+		shared := func(label string, a, b Result) {
+			t.Helper()
+			requireSameStats(t, label, a.Test, b.Test)
+			if len(a.Strata) != len(b.Strata) {
+				t.Fatalf("%s: %d strata vs %d", label, len(a.Strata), len(b.Strata))
+			}
+			for k := range a.Strata {
+				requireSameStats(t, fmt.Sprintf("%s stratum %d", label, k), a.Strata[k].Test, b.Strata[k].Test)
+			}
+		}
+		shared(fmt.Sprintf("window %d: duplicate constraint", windowRows), got[9], got[0])
+		shared(fmt.Sprintf("window %d: shared leaf", windowRows), got[12], got[5].Leaves[0])
+	}
+
+	// Forcing Kendall makes leaves fail method resolution at set-up. The
+	// resident path tests leaves in order, so a set constraint reports an
+	// earlier leaf's test error before a later leaf's resolution error.
+	family = append(family,
+		sc.Approximate{SC: sc.Independence([]string{"N0"}, []string{"N1", "Region"}, nil), Alpha: 0.05}, // Kendall leaf, then a categorical one
+		sc.Approximate{SC: sc.Independence([]string{"N2"}, []string{"N0", "Region"}, nil), Alpha: 0.05}, // NaN leaf, then a categorical one
+	)
+	src, loaded := storeSource(t, rel, 7)
+	counted, scans := wrapScan(src, forward)
+	opts := Options{Method: Kendall}
+	want, err := CheckAllContext(context.Background(), loaded, family, BatchOptions{Options: opts})
+	if err != nil {
+		t.Fatalf("CheckAllContext: %v", err)
+	}
+	got, err := CheckAllStream(context.Background(), newStreamer(t, counted), family, BatchOptions{Options: opts})
+	if err != nil {
+		t.Fatalf("CheckAllStream: %v", err)
+	}
+	if *scans != 1 {
+		t.Fatalf("kendall: %d scans for one family, want 1", *scans)
+	}
+	for i := range want {
+		requireSameTest(t, fmt.Sprintf("kendall constraint %d (%s)", i, family[i].SC), got[i], want[i])
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
+	"scoded/internal/store"
 )
 
 // checkParams are the detection knobs shared by /v1/check and /v1/checkall.
@@ -315,13 +317,22 @@ func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name str
 		writeError(w, http.StatusInternalServerError, "reading manifest for %q: %v", name, err)
 		return
 	}
-	// Every per-constraint pass scans this one manifest, so an append that
-	// lands mid-request is simply not seen.
-	streamer, err := kernel.NewStreamer(kernel.StoreSource(s.store, m, s.opts.ScanWindowRows))
+	// The family's one scan reads this manifest, so an append that lands
+	// mid-request is simply not seen.
+	src := kernel.StoreSource(s.store, m, s.opts.ScanWindowRows)
+	scan := src.Scan
+	src.Scan = func(ctx context.Context, fn func(*store.Segment) error) error {
+		return scan(ctx, func(seg *store.Segment) error {
+			s.metrics.rowsScanned.Add(int64(seg.Rows))
+			return fn(seg)
+		})
+	}
+	streamer, err := kernel.NewStreamer(src)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	s.metrics.streamCheckalls.Add(1)
 	results, err := detect.CheckAllStream(r.Context(), streamer, family, detect.BatchOptions{
 		Options: opts,
 		FDR:     fdr,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scoded/internal/engine"
@@ -30,6 +31,11 @@ type metrics struct {
 	mu     sync.Mutex
 	routes map[string]*routeMetrics
 	stages map[string]*stageMetrics
+
+	// streamCheckalls counts checkalls answered by streaming the store;
+	// rowsScanned counts the store rows those scans delivered.
+	streamCheckalls atomic.Int64
+	rowsScanned     atomic.Int64
 }
 
 // stageMetrics aggregates the engine's per-item hooks for one execution
@@ -151,6 +157,7 @@ func (m *metrics) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m.writeRouteMetrics(w)
 	m.writeStageMetrics(w)
+	m.writeScanMetrics(w)
 	if m.extra != nil {
 		m.extra(w)
 	}
@@ -203,6 +210,17 @@ func (m *metrics) writeStageMetrics(w io.Writer) {
 	for _, s := range snaps {
 		fmt.Fprintf(w, "scoded_engine_item_seconds_sum{stage=%q} %g\n", s.name, s.sumSeconds)
 	}
+}
+
+// writeScanMetrics renders the streamed-checkall counters: how often the
+// stream path ran and how many store rows it scanned.
+func (m *metrics) writeScanMetrics(w io.Writer) {
+	fmt.Fprintf(w, "# HELP scoded_checkall_stream_total Checkalls answered by streaming the store instead of a resident relation.\n")
+	fmt.Fprintf(w, "# TYPE scoded_checkall_stream_total counter\n")
+	fmt.Fprintf(w, "scoded_checkall_stream_total %d\n", m.streamCheckalls.Load())
+	fmt.Fprintf(w, "# HELP scoded_store_rows_scanned_total Store rows decoded by streamed checkall scans.\n")
+	fmt.Fprintf(w, "# TYPE scoded_store_rows_scanned_total counter\n")
+	fmt.Fprintf(w, "scoded_store_rows_scanned_total %d\n", m.rowsScanned.Load())
 }
 
 func (m *metrics) writeRouteMetrics(w io.Writer) {

@@ -342,6 +342,59 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	}
 }
 
+// TestStreamedCheckAllCounters: /metrics shows which path a checkall took
+// and how much it scanned. One streamed checkall over an N-row dataset adds
+// 1 to scoded_checkall_stream_total and exactly N to
+// scoded_store_rows_scanned_total; a resident checkall adds nothing.
+func TestStreamedCheckAllCounters(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newDurableServer(t, dir)
+	if code := do(t, s1.Handler(), "POST", "/v1/datasets?name=cars", "text/csv", []byte(testCSV(63, 300)), nil); code != http.StatusCreated {
+		t.Fatalf("upload status %d", code)
+	}
+	if code := do(t, s1.Handler(), "POST", "/v1/datasets/cars/rows", "text/csv", []byte(testCSV(64, 45)), nil); code != http.StatusOK {
+		t.Fatalf("append status %d", code)
+	}
+	req := []byte(`{"dataset":"cars","constraints":["Model _||_ Color @ 0.05","Price _||_ Mileage | Model @ 0.05","Model _||_ Price @ 0.05","Model _||_ Nope @ 0.05"]}`)
+	counters := func(s *Server) (runs, rows int64) {
+		t.Helper()
+		_, body := doRaw(t, s.Handler(), "GET", "/metrics", "", nil)
+		text := string(body)
+		for _, c := range []struct {
+			name string
+			dst  *int64
+		}{{"scoded_checkall_stream_total ", &runs}, {"scoded_store_rows_scanned_total ", &rows}} {
+			if _, err := fmt.Sscanf(afterPrefix(t, text, c.name), "%d", c.dst); err != nil {
+				t.Fatalf("parsing %s: %v", c.name, err)
+			}
+		}
+		return runs, rows
+	}
+	if code, body := doRaw(t, s1.Handler(), "POST", "/v1/checkall", "application/json", req); code != http.StatusOK {
+		t.Fatalf("resident checkall status %d: %s", code, body)
+	}
+	if runs, rows := counters(s1); runs != 0 || rows != 0 {
+		t.Fatalf("resident checkall counted %d streamed runs over %d rows, want 0 and 0", runs, rows)
+	}
+	s1.Close()
+
+	s2 := newDurableServerWithBudget(t, dir, 1)
+	s2.opts.ScanWindowRows = 29
+	defer s2.Close()
+	m, err := s2.store.Manifest("cars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", req); code != http.StatusOK {
+			t.Fatalf("streamed checkall status %d: %s", code, body)
+		}
+		if runs, rows := counters(s2); runs != i || rows != i*int64(m.Rows) {
+			t.Fatalf("after %d streamed checkalls over %d rows: counters %d and %d, want %d and %d", i, m.Rows, runs, rows, i, i*int64(m.Rows))
+		}
+	}
+}
+
 // TestStreamedCheckAllDuringAppend appends to a cold, over-budget dataset
 // while streamed checkalls run on it. Every answer must be error-free and
 // byte-equal to the resident answer for the data before or after the

@@ -35,14 +35,34 @@ type TablePartial struct {
 	counts []int64 // row-major slab, len = allocated rows * stride
 }
 
-// Observe adds one (x, y) code pair. Codes must be non-negative dense codes
-// from a coder shared by every partial that will be merged together.
-func (p *TablePartial) Observe(x, y int32) {
-	if x < 0 || y < 0 {
-		panic("stats: TablePartial observed a negative code")
+// Observe adds the code pairs (xs[i], ys[i]), growing the table once for
+// the whole batch. Codes must be non-negative dense codes from a coder
+// shared by every partial that will be merged together. It panics on
+// mismatched lengths.
+func (p *TablePartial) Observe(xs, ys []int32) {
+	if len(xs) != len(ys) {
+		panic(fmt.Sprintf("stats: TablePartial batch length mismatch %d vs %d", len(xs), len(ys)))
 	}
-	p.ensure(int(x)+1, int(y)+1)
-	p.counts[int(x)*p.stride+int(y)]++
+	if len(xs) == 0 {
+		return
+	}
+	var mx, my int32
+	for i, x := range xs {
+		y := ys[i]
+		if x < 0 || y < 0 {
+			panic("stats: TablePartial observed a negative code")
+		}
+		if x > mx {
+			mx = x
+		}
+		if y > my {
+			my = y
+		}
+	}
+	p.ensure(int(mx)+1, int(my)+1)
+	for i, x := range xs {
+		p.counts[int(x)*p.stride+int(ys[i])]++
+	}
 }
 
 // add accumulates n occurrences of the (x, y) cell; it is the bulk form

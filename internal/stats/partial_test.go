@@ -258,10 +258,15 @@ func TestTablePartialMatchesTableFromCodes(t *testing.T) {
 		for _, cuts := range adversarialCuts(n, rng) {
 			var parts []*TablePartial
 			prev := 0
+			// Windows alternate between one batch and one pair per call.
 			observe := func(lo, hi int) {
 				p := &TablePartial{}
-				for i := lo; i < hi; i++ {
-					p.Observe(x[i], y[i])
+				if len(parts)%2 == 0 {
+					p.Observe(x[lo:hi], y[lo:hi])
+				} else {
+					for i := lo; i < hi; i++ {
+						p.Observe(x[i:i+1], y[i:i+1])
+					}
 				}
 				parts = append(parts, p)
 			}
@@ -313,11 +318,9 @@ func TestTablePartialGrowth(t *testing.T) {
 	// Observations arriving in an order that forces both axes to regrow
 	// repeatedly must land in the right cells.
 	p := &TablePartial{}
-	p.Observe(0, 0)
-	p.Observe(5, 0)
-	p.Observe(0, 7)
-	p.Observe(5, 7)
-	p.Observe(2, 3)
+	for _, c := range [][2]int32{{0, 0}, {5, 0}, {0, 7}, {5, 7}, {2, 3}} {
+		p.Observe(c[:1], c[1:])
+	}
 	kx, ky := p.Dims()
 	if kx != 6 || ky != 8 {
 		t.Fatalf("dims (%d,%d) want (6,8)", kx, ky)
