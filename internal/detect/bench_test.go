@@ -76,3 +76,22 @@ func TestBenchWorkloadSmoke(t *testing.T) {
 		t.Errorf("cache was not exercised: %+v", s)
 	}
 }
+
+// TestTauBenchWorkloadSmoke is TestBenchWorkloadSmoke for the tau variant's
+// workload: every constraint resolves to Kendall, and the warm-cache run —
+// finished pair counts served from the cache — reproduces the uncached one.
+func TestTauBenchWorkloadSmoke(t *testing.T) {
+	w := detectbench.NewTauWorkload(benchSeed)
+	cold := benchRun(t, w, nil)
+	cache := kernel.New(w.Rel)
+	benchRun(t, w, cache)
+	warm := benchRun(t, w, cache)
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("warm-cache results differ from uncached")
+	}
+	for _, r := range cold {
+		if r.Method != detect.Kendall {
+			t.Errorf("%s resolved to %s, want Kendall", r.Constraint.SC, r.Method)
+		}
+	}
+}

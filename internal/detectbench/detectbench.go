@@ -8,12 +8,15 @@
 // sharing attributes): every pair of a handful of categorical columns,
 // conditioned on one shared stratification column, so partitions, codings
 // and tables are recomputed per constraint without a cache and computed once
-// with one.
+// with one. A numeric companion workload (NewTauWorkload) puts Kendall's
+// tau on the same footing: three numeric column pairs over the same strata.
 package detectbench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"scoded/internal/detect"
@@ -83,6 +86,53 @@ func NewWorkload(seed int64) *Workload {
 	return &Workload{Rel: rel, Family: family}
 }
 
+// tauCols is the numeric column count of NewTauWorkload: C(3,2) = 3
+// pairs, each conditioned on Region — 36 tau stratum tests per checkall.
+const tauCols = 3
+
+// NewTauWorkload builds the numeric companion of NewWorkload for a seed:
+// the same row count and 12-level Region column, three numeric columns
+// N0..N2 rounded to four decimals (N1 depends on N0, N2 on neither), and
+// the three constraints "Ni _||_ Nj | Region", which Auto resolves to
+// Kendall's tau. It draws from its own random stream, so NewWorkload's
+// data is the same with or without it.
+func NewTauWorkload(seed int64) *Workload {
+	rng := rand.New(rand.NewSource(seed))
+	region := make([]string, workloadRows)
+	nums := make([][]float64, tauCols)
+	for c := range nums {
+		nums[c] = make([]float64, workloadRows)
+	}
+	for i := range region {
+		region[i] = fmt.Sprintf("r%d", rng.Intn(workloadStrata))
+		for c := range nums {
+			nums[c][i] = rng.NormFloat64()
+		}
+		nums[1][i] = 0.3*nums[0][i] + nums[1][i]
+	}
+	cols := []*relation.Column{relation.NewCategoricalColumn("Region", region)}
+	for c, vals := range nums {
+		for i, v := range vals {
+			vals[i] = math.Round(v*1e4) / 1e4
+		}
+		cols = append(cols, relation.NewNumericColumn(fmt.Sprintf("N%d", c), vals))
+	}
+	rel, err := relation.New(cols...)
+	if err != nil {
+		panic(err) // impossible: equal-length generated columns
+	}
+	var family []sc.Approximate
+	for a := 0; a < tauCols; a++ {
+		for b := a + 1; b < tauCols; b++ {
+			family = append(family, sc.Approximate{
+				SC:    sc.MustParse(fmt.Sprintf("N%d _||_ N%d | Region", a, b)),
+				Alpha: 0.05,
+			})
+		}
+	}
+	return &Workload{Rel: rel, Family: family}
+}
+
 // Run checks the whole family once with the given cache (nil = uncached)
 // and worker count, returning the results.
 func (w *Workload) Run(cache *kernel.Cache, workers int) ([]detect.Result, error) {
@@ -134,7 +184,8 @@ type BenchResult struct {
 	// checkall_warm_cache (a pre-populated cache), or
 	// checkall_after_append (a pre-populated cache advanced across a
 	// single-stratum append — segment-versioned invalidation keeps the
-	// untouched strata warm).
+	// untouched strata warm), or checkall_warm_cache_tau (NewTauWorkload's
+	// Kendall family on a pre-populated cache).
 	Name string `json:"name"`
 	// Iters is the iteration count testing.Benchmark settled on.
 	Iters       int   `json:"iters"`
@@ -149,9 +200,14 @@ type Report struct {
 	Rows        int   `json:"rows"`
 	Columns     int   `json:"columns"`
 	Constraints int   `json:"constraints"`
+	// TauConstraints is the size of the checkall_warm_cache_tau family.
+	TauConstraints int `json:"tau_constraints"`
 	// Workers is the CheckAll pool size the benchmarks ran with.
-	Workers int           `json:"workers"`
-	Results []BenchResult `json:"results"`
+	Workers int `json:"workers"`
+	// GOMAXPROCS and GoVersion record the machine the numbers came from.
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	GoVersion  string        `json:"go_version"`
+	Results    []BenchResult `json:"results"`
 	// SpeedupFreshVsCold is cold ns/op divided by fresh-cache ns/op: the
 	// one-shot speedup a caller gets from threading a new cache through a
 	// single CheckAll. This is the acceptance headline (target ≥ 2).
@@ -182,8 +238,9 @@ func (w *Workload) mustRun(cache *kernel.Cache, workers int) []detect.Result {
 	return results
 }
 
-// Bench measures the three variants with testing.Benchmark and derives the
-// speedups. Workers ≤ 0 means GOMAXPROCS.
+// Bench measures the variants with testing.Benchmark and derives the
+// speedups over the G family (the tau variant has no cold counterpart).
+// Workers ≤ 0 means GOMAXPROCS.
 func Bench(seed int64, workers int) Report {
 	w := NewWorkload(seed)
 	rep := Report{
@@ -192,7 +249,11 @@ func Bench(seed int64, workers int) Report {
 		Columns:     len(w.Rel.Columns()),
 		Constraints: len(w.Family),
 		Workers:     workers,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
 	}
+	tau := NewTauWorkload(seed)
+	rep.TauConstraints = len(tau.Family)
 	variants := []struct {
 		name string
 		run  func(b *testing.B)
@@ -239,6 +300,14 @@ func Bench(seed int64, workers int) Report {
 						panic(r.Err)
 					}
 				}
+			}
+		}},
+		{"checkall_warm_cache_tau", func(b *testing.B) {
+			cache := kernel.New(tau.Rel)
+			tau.mustRun(cache, workers) // populate outside the timed loop
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tau.mustRun(cache, workers)
 			}
 		}},
 	}

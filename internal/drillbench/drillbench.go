@@ -166,8 +166,10 @@ type Report struct {
 	// SpeedupMulti can only exceed 1 when this exceeds 1: on a single-CPU
 	// host the worker pool interleaves on one core and the sweep below is
 	// expected to be flat (see DESIGN.md §15).
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []BenchResult `json:"results"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// GoVersion records the toolchain the numbers came from.
+	GoVersion string        `json:"go_version"`
+	Results   []BenchResult `json:"results"`
 	// SpeedupTauKc is linear ns/op divided by delta ns/op on the tau-path
 	// K^c drill: the acceptance headline (target ≥ 5).
 	SpeedupTauKc float64 `json:"speedup_tau_kc"`
@@ -211,6 +213,7 @@ func Bench(seed int64, workers int) Report {
 		Constraints: len(w.Family),
 		Workers:     workers,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
 	}
 	variants := []struct {
 		name string

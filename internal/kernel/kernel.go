@@ -2,10 +2,10 @@
 // SCODED's detection hot path (DESIGN.md §9). Checking a family of
 // statistical constraints against one dataset keeps recomputing the same
 // intermediate artifacts — dense column codings, group-by partitions on
-// conditioning sets Z, contingency tables, and the sort/tie precomputation
-// of Kendall's tau — once per constraint, even when many constraints share
-// attributes or conditioning sets (the paper's §4.2–4.3 cost structure). A
-// Cache memoizes those artifacts per dataset so they are computed once and
+// conditioning sets Z, contingency tables, and Kendall's tau pair counts —
+// once per constraint, even when many constraints share attributes or
+// conditioning sets (the paper's §4.2–4.3 cost structure). A Cache
+// memoizes those artifacts per dataset so they are computed once and
 // shared.
 //
 // Correctness contract: every cached artifact is produced by exactly the
@@ -155,9 +155,9 @@ func (c *Cache) Version() uint64 {
 
 // AllRowsKey returns the canonical rowsKey for the whole relation at this
 // view's version. Passing it (with nil rows) to Codes / Floats / Table /
-// KendallPrep scopes the entry to this version, so an append — which does
-// change the all-rows subset — naturally misses onto fresh entries. A nil
-// cache returns "" (the key is never used on the uncached path).
+// KendallPrepContext scopes the entry to this version, so an append — which
+// does change the all-rows subset — naturally misses onto fresh entries. A
+// nil cache returns "" (the key is never used on the uncached path).
 func (c *Cache) AllRowsKey() string {
 	if c == nil {
 		return ""
@@ -441,8 +441,9 @@ func (c *Cache) Table(d *relation.Relation, x, y string, bins int, rowsKey strin
 	return t, kx, ky
 }
 
-// KendallPrepContext returns the reusable sort/tie precomputation of
-// Kendall's tau for the (x, y) column pair over the given row subset.
+// KendallPrepContext returns the finished Kendall sufficient statistic
+// (pair counts and tie groups, see stats.KendallPrep) of the (x, y) column
+// pair over the given row subset, so a warm tau test is arithmetic only.
 // Validation errors (NaN values, too-small samples) are deterministic and
 // cached alongside; a context error is returned as-is and caches nothing.
 func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x, y, rowsKey string, rows []int) (*stats.KendallPrep, error) {
@@ -457,9 +458,4 @@ func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x,
 	}
 	pv := v.(prepVal)
 	return pv.p, pv.err
-}
-
-// KendallPrep is KendallPrepContext without cancellation.
-func (c *Cache) KendallPrep(d *relation.Relation, x, y, rowsKey string, rows []int) (*stats.KendallPrep, error) {
-	return c.KendallPrepContext(context.Background(), d, x, y, rowsKey, rows)
 }

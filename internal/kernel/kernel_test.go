@@ -150,7 +150,7 @@ func TestCachedArtifactsMatchDirect(t *testing.T) {
 		t.Errorf("Floats diverged")
 	}
 
-	prep, err := c.KendallPrep(d, "U", "V", "", nil)
+	prep, err := c.KendallPrepContext(context.Background(), d, "U", "V", "", nil)
 	if err != nil || prep == nil {
 		t.Fatalf("KendallPrep: %v", err)
 	}
@@ -191,11 +191,11 @@ func TestKendallPrepCachesErrors(t *testing.T) {
 	d := testRelation(t)
 	c := New(d)
 	rows := []int{0} // one observation: too small for tau
-	_, err1 := c.KendallPrep(d, "U", "V", "part\x00#tiny", rows)
+	_, err1 := c.KendallPrepContext(context.Background(), d, "U", "V", "part\x00#tiny", rows)
 	if err1 == nil {
 		t.Fatal("expected an error for a single observation")
 	}
-	_, err2 := c.KendallPrep(d, "U", "V", "part\x00#tiny", rows)
+	_, err2 := c.KendallPrepContext(context.Background(), d, "U", "V", "part\x00#tiny", rows)
 	if err2 == nil || err2.Error() != err1.Error() {
 		t.Fatalf("cached error diverged: %v vs %v", err2, err1)
 	}

@@ -1,10 +1,13 @@
 package kernel
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"scoded/internal/relation"
+	"scoded/internal/stats"
 )
 
 func versionedRel(t *testing.T) *relation.Relation {
@@ -140,6 +143,74 @@ func TestWarmEntriesSurviveAppend(t *testing.T) {
 	post := c2.Stats()
 	if post.Misses-pre.Misses < 1 {
 		t.Error("grown stratum was served from the stale pre-append entry")
+	}
+}
+
+// TestWarmKendallPrepSurvivesAppend is TestWarmEntriesSurviveAppend for
+// tau: a stratum's finished Kendall prep computed before an append is
+// served afterwards — the same shared value, no recount — when the append
+// did not touch the stratum, while the grown stratum gets a fresh prep of
+// its grown rows.
+func TestWarmKendallPrepSurvivesAppend(t *testing.T) {
+	ctx := context.Background()
+	rel := relation.MustNew(
+		relation.NewCategoricalColumn("Z", []string{"a", "a", "a", "b", "b", "b", "c", "c", "c"}),
+		relation.NewNumericColumn("U", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}),
+		relation.NewNumericColumn("V", []float64{3, 1, 2, 6, 6, 4, 9, 7, 8}),
+	)
+	z := []string{"Z"}
+	c1 := NewAt(rel, 1)
+	p1 := c1.Partition(rel, z)
+	warm := make(map[string]*stats.KendallPrep)
+	for _, g := range p1.Keys {
+		prep, err := c1.KendallPrepContext(ctx, rel, "U", "V", p1.StratumRowsKey(g), p1.Groups[g])
+		if err != nil {
+			t.Fatalf("stratum %q: %v", g, err)
+		}
+		warm[g] = prep
+	}
+	base := c1.Stats()
+
+	grown, err := rel.AppendRows(relation.MustNew(
+		relation.NewCategoricalColumn("Z", []string{"b", "b"}),
+		relation.NewNumericColumn("U", []float64{10, 11}),
+		relation.NewNumericColumn("V", []float64{5, 0}),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := c1.Advance(grown, 2)
+	p2 := c2.Partition(grown, z)
+	for _, g := range []string{"a", "c"} {
+		prep, err := c2.KendallPrepContext(ctx, grown, "U", "V", p2.StratumRowsKey(g), p2.Groups[g])
+		if err != nil {
+			t.Fatalf("stratum %q: %v", g, err)
+		}
+		if prep != warm[g] {
+			t.Errorf("untouched stratum %q recounted its Kendall prep after append", g)
+		}
+	}
+	if hits := c2.Stats().Hits - base.Hits; hits < 2 {
+		t.Errorf("untouched strata recomputed after append: %d hits, want >= 2", hits)
+	}
+
+	// The grown stratum must NOT hit the old entry: its prep counts all
+	// five rows, exactly as an uncached prep of them does.
+	pre := c2.Stats()
+	prep, err := c2.KendallPrepContext(ctx, grown, "U", "V", p2.StratumRowsKey("b"), p2.Groups["b"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post := c2.Stats(); post.Misses-pre.Misses < 1 {
+		t.Error("grown stratum was served from the stale pre-append entry")
+	}
+	rows := p2.Groups["b"]
+	want, err := stats.PrepKendall(FloatsFor(grown, "U", rows), FloatsFor(grown, "V", rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep.N != 5 || !reflect.DeepEqual(prep, want) {
+		t.Errorf("grown stratum prep %+v, want %+v", prep, want)
 	}
 }
 

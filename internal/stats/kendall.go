@@ -4,20 +4,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 )
-
-// kendallScratch pools the merge-sort working memory of kendallFromPrep
-// (the permuted-y copy and the merge buffer). Both are consumed inside the
-// call — only the inversion count survives — so pooling is invisible to
-// callers and saves two O(n) allocations per tau evaluation on the
-// detection hot path.
-var kendallScratch = sync.Pool{New: func() any { return new(kendallBuffers) }}
-
-type kendallBuffers struct {
-	mem []float64
-}
 
 // KendallResult reports Kendall rank-correlation statistics for a sample of
 // paired observations.
@@ -42,16 +31,21 @@ type KendallResult struct {
 	Approximate bool
 }
 
-// KendallPrep holds the sample-dependent precomputation of Kendall's tau
-// for one fixed (x, y) pair: the joint sort order and the per-column tie
-// group sizes. It is what the kernel cache memoizes per column pair so
-// repeated tests on the same data skip the O(n log n) sorts; a prep is
-// read-only and safe for concurrent reuse.
+// KendallPrep is the finished sufficient statistic of Kendall's tau for one
+// fixed (x, y) sample: the integer pair counts of the joint sort and the
+// tie group sizes of each column. Everything the result needs is here, so
+// finishing a prep is O(#tie groups) arithmetic with no sort, merge or
+// per-row memory. It is what the kernel cache memoizes per column pair and
+// stratum; a prep is read-only and safe for concurrent reuse.
 type KendallPrep struct {
-	// Order holds the indices sorted by x ascending, x-ties by y ascending.
-	Order []int
+	// N is the sample size.
+	N int
+	// Discordant is n_d, the pairs ordered oppositely on x and y.
+	Discordant int64
+	// TiesX and TiesXY count the pairs tied on x and on both x and y.
+	TiesX, TiesXY int64
 	// XTies and YTies are the tie group sizes of each column, in sorted
-	// value order (the tieGroupSizes form kendallZP consumes).
+	// value order (the tieGroupSizes form kendallZPFromTies consumes).
 	XTies, YTies []int
 }
 
@@ -71,20 +65,14 @@ func PrepKendall(x, y []float64) (*KendallPrep, error) {
 			return nil, fmt.Errorf("stats: Kendall input contains NaN at %d", i)
 		}
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Sort by x ascending, breaking x-ties by y ascending.
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		//scoded:lint-ignore floatcmp comparator tie-break needs exact equality for a total order
-		if x[ia] != x[ib] {
-			return x[ia] < x[ib]
-		}
-		return y[ia] < y[ib]
-	})
-	return &KendallPrep{Order: idx, XTies: tieGroupSizes(x), YTies: tieGroupSizes(y)}, nil
+	pts := jointSort(x, y)
+	p := &KendallPrep{N: n}
+	p.XTies, p.TiesXY = jointTies(pts)
+	p.TiesX = tiedPairs(p.XTies)
+	var ys []float64
+	p.Discordant, ys = discordantPairs(pts)
+	p.YTies = runSizes(ys)
+	return p, nil
 }
 
 // Kendall computes Kendall's rank correlation between x and y in
@@ -95,69 +83,38 @@ func Kendall(x, y []float64) (KendallResult, error) {
 	if err != nil {
 		return KendallResult{}, err
 	}
-	return kendallFromPrep(x, y, p), nil
+	return kendallFromPrep(p), nil
 }
 
-// KendallPrepped is Kendall with the sort/tie precomputation supplied by the
-// caller (typically from the kernel cache). A nil prep falls back to the
-// full computation. Results are bit-identical to Kendall on the same data.
+// KendallPrepped is Kendall with the prep supplied by the caller (typically
+// from the kernel cache). A nil prep falls back to the full computation.
+// x and y are only checked against the prep's size. Results are
+// bit-identical to Kendall on the same data.
 func KendallPrepped(x, y []float64, p *KendallPrep) (KendallResult, error) {
 	if p == nil {
 		return Kendall(x, y)
 	}
-	if len(x) != len(y) || len(p.Order) != len(x) {
+	if len(x) != len(y) || p.N != len(x) {
 		return KendallResult{}, fmt.Errorf("stats: Kendall prep built for %d observations, got %d/%d",
-			len(p.Order), len(x), len(y))
+			p.N, len(x), len(y))
 	}
-	return kendallFromPrep(x, y, p), nil
+	return kendallFromPrep(p), nil
 }
 
-// kendallFromPrep runs the tie-corrected tau computation proper. Both the
-// prepped and unprepped entry points funnel here, so the two paths cannot
-// diverge arithmetically.
-func kendallFromPrep(x, y []float64, p *KendallPrep) KendallResult {
-	n := len(x)
-	idx := p.Order
+// kendallFromPrep finishes a prep. Both the prepped and unprepped entry
+// points funnel here, so the two paths cannot diverge arithmetically.
+func kendallFromPrep(p *KendallPrep) KendallResult {
+	return kendallFinish(p.N, p.Discordant, p.TiesX, p.TiesXY, p.XTies, p.YTies)
+}
 
-	// Tie counts over the joint sort order: pairs tied on x and on both
-	// (x, y) jointly.
-	var n1, n2, n3 int64
-	var tx, txy tieAccumulator
-	for i := 1; i < n; i++ {
-		ia, ib := idx[i], idx[i-1]
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		sameX := x[ia] == x[ib]
-		tx.step(sameX)
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		txy.step(sameX && y[ia] == y[ib])
-	}
-	n1 = tx.finish()
-	n3 = txy.finish()
-
-	sc := kendallScratch.Get().(*kendallBuffers)
-	if cap(sc.mem) < 2*n {
-		sc.mem = make([]float64, 2*n)
-	}
-	mem := sc.mem[:2*n]
-	ySorted, buf := mem[:n], mem[n:]
-	for i, id := range idx {
-		ySorted[i] = y[id]
-	}
-	// Discordant pairs = inversions of ySorted (strict descents across
-	// different-x pairs; within an x-tie block y is ascending so contributes
-	// no inversions).
-	discordant := countInversions(ySorted, buf)
-	kendallScratch.Put(sc)
-
-	// Pairs tied on y, from the precomputed tie groups: a group of r equal
-	// values contributes r(r-1)/2 tied pairs (exact integer arithmetic, the
-	// same total the previous y-sorted pass accumulated).
-	for _, r := range p.YTies {
-		n2 += int64(r) * int64(r-1) / 2
-	}
-
+// kendallFinish is the one tau finalization, shared by the resident prep
+// and the streamed KendallPartial: from n, the discordant pairs nd, the
+// pairs tied on x (n1) and on both (n3), and each column's tie groups, it
+// derives n2, nc, tau-a, tau-b, z and p. The inputs are exact integers, so
+// two paths that count the same sample produce the same bits.
+func kendallFinish(n int, nd, n1, n3 int64, xt, yt []int) KendallResult {
 	n0 := int64(n) * int64(n-1) / 2
-	nd := discordant
+	n2 := tiedPairs(yt)
 	nc := n0 - n1 - n2 + n3 - nd
 
 	res := KendallResult{
@@ -180,9 +137,90 @@ func kendallFromPrep(x, y []float64, p *KendallPrep) KendallResult {
 	}
 	res.TauB = clampUnit(num / denom)
 
-	res.Z, res.P = kendallZPFromTies(n, p.XTies, p.YTies, num)
+	res.Z, res.P = kendallZPFromTies(n, xt, yt, num)
 	res.Approximate = n <= 60
 	return res
+}
+
+// kendallPoint is one paired observation, the element of the joint sort.
+type kendallPoint struct{ x, y float64 }
+
+// jointSort returns the points (x[i], y[i]) ordered by x ascending, x-ties
+// by y ascending. Points equal on both are interchangeable, so the sort
+// need not be stable: every count taken over the order is the same. Inputs
+// must be NaN-free.
+func jointSort(x, y []float64) []kendallPoint {
+	pts := make([]kendallPoint, len(x))
+	for i := range pts {
+		pts[i] = kendallPoint{x[i], y[i]}
+	}
+	slices.SortFunc(pts, func(a, b kendallPoint) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		case a.y < b.y:
+			return -1
+		case a.y > b.y:
+			return 1
+		}
+		return 0
+	})
+	return pts
+}
+
+// jointTies reads joint-sorted points: xt is x's tie group sizes (the x
+// runs) and n3 the pairs tied on both x and y (a run of r equal points
+// contributes r(r-1)/2).
+func jointTies(pts []kendallPoint) (xt []int, n3 int64) {
+	xrun, run := 1, int64(0)
+	for i := 1; i < len(pts); i++ {
+		a, b := pts[i-1], pts[i]
+		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
+		if a.x != b.x {
+			if xrun > 1 {
+				xt = append(xt, xrun)
+			}
+			xrun, run = 1, 0
+			continue
+		}
+		xrun++
+		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
+		if a.y == b.y {
+			run++
+			n3 += run
+		} else {
+			run = 0
+		}
+	}
+	if xrun > 1 {
+		xt = append(xt, xrun)
+	}
+	return xt, n3
+}
+
+// discordantPairs counts the discordant pairs of joint-sorted points: the
+// strict inversions of their y sequence (a strict descent across different
+// x; within an x-tie block y ascends, so it contributes none). The merge
+// sort leaves the y values sorted, returned as ys.
+func discordantPairs(pts []kendallPoint) (nd int64, ys []float64) {
+	mem := make([]float64, 2*len(pts))
+	ys, buf := mem[:len(pts)], mem[len(pts):]
+	for i, pt := range pts {
+		ys[i] = pt.y
+	}
+	return countInversions(ys, buf), ys
+}
+
+// tiedPairs is the number of pairs within tie groups of the given sizes: a
+// group of r equal values contributes r(r-1)/2.
+func tiedPairs(groups []int) int64 {
+	var n int64
+	for _, r := range groups {
+		n += int64(r) * int64(r-1) / 2
+	}
+	return n
 }
 
 // kendallZP computes the tie-corrected variance of (nc - nd) under the null
@@ -242,29 +280,16 @@ func clampUnit(v float64) float64 {
 	return v
 }
 
-// tieAccumulator counts tied pairs from a stream of "is this element equal
-// to the previous one" observations over sorted data: a run of r equal
-// elements contributes r(r-1)/2 tied pairs.
-type tieAccumulator struct {
-	run   int64
-	total int64
-}
-
-func (t *tieAccumulator) step(same bool) {
-	if same {
-		t.run++
-		t.total += t.run
-	} else {
-		t.run = 0
-	}
-}
-
-func (t *tieAccumulator) finish() int64 { return t.total }
-
 // tieGroupSizes returns the sizes of groups of equal values in v.
 func tieGroupSizes(v []float64) []int {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
+	return runSizes(s)
+}
+
+// runSizes returns the sizes (those above one) of the runs of equal values
+// in sorted s, in order.
+func runSizes(s []float64) []int {
 	var out []int
 	run := 1
 	for i := 1; i < len(s); i++ {

@@ -19,8 +19,9 @@ import (
 //     (discordant pairs, tie-run sizes) over the (x asc, y asc) sort order.
 //     That order — and therefore every count — depends only on the multiset
 //     of points, not on how the rows were split, so any merge tree yields
-//     the same integers and the final float arithmetic (copied verbatim
-//     from kendallFromPrep) yields the same bits as a single-shot Kendall.
+//     the same integers, and kendallFinish — the one tau finalization,
+//     shared with the resident KendallPrep — turns them into the same bits
+//     as a single-shot Kendall.
 //
 // Pearson and Spearman have no partial: their float sums are
 // order-sensitive, so the streaming CheckAll path leaves them resident-only.
@@ -152,7 +153,7 @@ func (p *TablePartial) Table() Table {
 // x-ties broken by y ascending (the PrepKendall joint order), plus the
 // count of strict y-descents (discordant pairs) within the batch.
 type kendallRun struct {
-	x, y []float64
+	pts  []kendallPoint
 	disc int64
 }
 
@@ -198,12 +199,8 @@ func (p *KendallPartial) Append(x, y []float64) {
 	if len(x) == 0 {
 		return
 	}
-	run := kendallRun{x: append([]float64(nil), x...), y: append([]float64(nil), y...)}
-	sort.Sort(kendallPointSorter{run})
-	// The window's internal discordant pairs are the strict y-inversions in
-	// its joint sort order, same as kendallFromPrep's full-sample count.
-	ys := append([]float64(nil), run.y...)
-	run.disc = countInversions(ys, make([]float64, len(ys)))
+	run := kendallRun{pts: jointSort(x, y)}
+	run.disc, _ = discordantPairs(run.pts)
 	p.n += len(x)
 	p.push(run)
 }
@@ -221,11 +218,7 @@ func (p *KendallPartial) Merge(o *KendallPartial) {
 		return
 	}
 	for _, r := range o.runs {
-		p.push(kendallRun{
-			x:    append([]float64(nil), r.x...),
-			y:    append([]float64(nil), r.y...),
-			disc: r.disc,
-		})
+		p.push(kendallRun{pts: append([]kendallPoint(nil), r.pts...), disc: r.disc})
 	}
 }
 
@@ -242,7 +235,7 @@ func (p *KendallPartial) push(r kendallRun) {
 	p.runs = append(p.runs, r)
 	for len(p.runs) >= 2 {
 		a, b := p.runs[len(p.runs)-2], p.runs[len(p.runs)-1]
-		if len(a.x) > len(b.x) {
+		if len(a.pts) > len(b.pts) {
 			break
 		}
 		p.runs = p.runs[:len(p.runs)-2]
@@ -275,54 +268,15 @@ func (p *KendallPartial) Result() (KendallResult, error) {
 		return KendallResult{}, fmt.Errorf("stats: Kendall input contains NaN at %d", p.nan)
 	}
 	r := p.fold()
-	n := p.n
-
-	// Tie counts over the joint sort order, exactly kendallFromPrep's loop.
-	var n2 int64
-	var tx, txy tieAccumulator
-	for i := 1; i < n; i++ {
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		sameX := r.x[i] == r.x[i-1]
-		tx.step(sameX)
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		txy.step(sameX && r.y[i] == r.y[i-1])
+	// The folded run is in the joint order, so x's tie groups are its x
+	// runs; y is not sorted there and takes a gather-and-sort pass.
+	xt, n3 := jointTies(r.pts)
+	ys := make([]float64, len(r.pts))
+	for i, pt := range r.pts {
+		ys[i] = pt.y
 	}
-	n1 := tx.finish()
-	n3 := txy.finish()
-
-	xt := tieGroupSizes(r.x)
-	yt := tieGroupSizes(r.y)
-	for _, g := range yt {
-		n2 += int64(g) * int64(g-1) / 2
-	}
-
-	n0 := int64(n) * int64(n-1) / 2
-	nd := r.disc
-	nc := n0 - n1 - n2 + n3 - nd
-
-	res := KendallResult{
-		Concordant: nc,
-		Discordant: nd,
-		TiesX:      n1,
-		TiesY:      n2,
-		TiesXY:     n3,
-		N:          n,
-	}
-	num := float64(nc - nd)
-	res.TauA = num / float64(n0)
-	denom := math.Sqrt(float64(n0-n1) * float64(n0-n2))
-	if denom <= 0 {
-		// A constant column: tau-b undefined; report 0 correlation with p=1.
-		res.TauB = 0
-		res.Z = 0
-		res.P = 1
-		return res, nil
-	}
-	res.TauB = clampUnit(num / denom)
-
-	res.Z, res.P = kendallZPFromTies(n, xt, yt, num)
-	res.Approximate = n <= 60
-	return res, nil
+	sort.Float64s(ys)
+	return kendallFinish(p.n, r.disc, tiedPairs(xt), n3, xt, runSizes(ys)), nil
 }
 
 // Test adapts Result to the TestResult interface, mirroring KendallTest.
@@ -334,24 +288,6 @@ func (p *KendallPartial) Test() (TestResult, error) {
 	return kendallTestResult(k), nil
 }
 
-// kendallPointSorter orders a run by x ascending, x-ties by y ascending —
-// PrepKendall's joint order. Equal (x, y) points are interchangeable, so
-// an unstable sort is fine.
-type kendallPointSorter struct{ r kendallRun }
-
-func (s kendallPointSorter) Len() int { return len(s.r.x) }
-func (s kendallPointSorter) Less(a, b int) bool {
-	//scoded:lint-ignore floatcmp comparator tie-break needs exact equality for a total order
-	if s.r.x[a] != s.r.x[b] {
-		return s.r.x[a] < s.r.x[b]
-	}
-	return s.r.y[a] < s.r.y[b]
-}
-func (s kendallPointSorter) Swap(a, b int) {
-	s.r.x[a], s.r.x[b] = s.r.x[b], s.r.x[a]
-	s.r.y[a], s.r.y[b] = s.r.y[b], s.r.y[a]
-}
-
 // mergeKendallRuns merges two sorted runs into the sorted run of their
 // union. Discordant pairs add: within-run inversions carry over, and the
 // cross-run inversions (an earlier-sorted element of one run paired with a
@@ -360,53 +296,52 @@ func (s kendallPointSorter) Swap(a, b int) {
 // strict test skips them automatically — exactly how the single-shot
 // inversion count treats x-tie blocks.
 func mergeKendallRuns(a, b kendallRun) kendallRun {
-	if len(a.x) == 0 {
+	if len(a.pts) == 0 {
 		return b
 	}
-	if len(b.x) == 0 {
+	if len(b.pts) == 0 {
 		return a
 	}
-	n := len(a.x) + len(b.x)
+	n := len(a.pts) + len(b.pts)
 	ranks := make([]float64, 0, n)
-	ranks = append(ranks, a.y...)
-	ranks = append(ranks, b.y...)
+	for _, pt := range a.pts {
+		ranks = append(ranks, pt.y)
+	}
+	for _, pt := range b.pts {
+		ranks = append(ranks, pt.y)
+	}
 	sort.Float64s(ranks)
 	ranks = dedupFloats(ranks)
 
-	m := kendallRun{
-		x:    make([]float64, 0, n),
-		y:    make([]float64, 0, n),
-		disc: a.disc + b.disc,
-	}
+	m := kendallRun{pts: make([]kendallPoint, 0, n), disc: a.disc + b.disc}
 	bitA := newFenwick(len(ranks))
 	bitB := newFenwick(len(ranks))
 	var insA, insB int64
 	i, j := 0, 0
-	for i < len(a.x) || j < len(b.x) {
-		takeA := j >= len(b.x)
-		if !takeA && i < len(a.x) {
+	for i < len(a.pts) || j < len(b.pts) {
+		takeA := j >= len(b.pts)
+		if !takeA && i < len(a.pts) {
+			pa, pb := a.pts[i], b.pts[j]
 			//scoded:lint-ignore floatcmp comparator tie-break needs exact equality for a total order
-			if a.x[i] != b.x[j] {
-				takeA = a.x[i] < b.x[j]
+			if pa.x != pb.x {
+				takeA = pa.x < pb.x
 			} else {
-				takeA = a.y[i] <= b.y[j]
+				takeA = pa.y <= pb.y
 			}
 		}
 		if takeA {
-			r := sort.SearchFloat64s(ranks, a.y[i]) + 1
+			r := sort.SearchFloat64s(ranks, a.pts[i].y) + 1
 			m.disc += insB - bitB.prefix(r)
 			bitA.add(r)
 			insA++
-			m.x = append(m.x, a.x[i])
-			m.y = append(m.y, a.y[i])
+			m.pts = append(m.pts, a.pts[i])
 			i++
 		} else {
-			r := sort.SearchFloat64s(ranks, b.y[j]) + 1
+			r := sort.SearchFloat64s(ranks, b.pts[j].y) + 1
 			m.disc += insA - bitA.prefix(r)
 			bitB.add(r)
 			insB++
-			m.x = append(m.x, b.x[j])
-			m.y = append(m.y, b.y[j])
+			m.pts = append(m.pts, b.pts[j])
 			j++
 		}
 	}

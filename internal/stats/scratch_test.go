@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The G and Kendall kernels borrow scratch from package-level sync.Pools.
-// These tests pin the two properties that make that safe: the pooled path
-// is bit-identical to itself across reuse (nothing leaks between calls),
-// and the steady state allocates nothing.
+// The G kernel borrows scratch from a package-level sync.Pool; the prepped
+// Kendall path reads only its prep. These tests pin what makes that safe:
+// the pooled path is bit-identical to itself across reuse (nothing leaks
+// between calls), and the steady state of both allocates nothing.
 
 func TestGTestPooledScratchDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
