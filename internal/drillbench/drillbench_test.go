@@ -76,6 +76,27 @@ func TestGKcDeltaAllocRegression(t *testing.T) {
 	}
 }
 
+// TestTauKcDeltaAllocRegression pins the allocation budget of the tau-path
+// delta drill on the canonical warm-cache workload. The bound is the
+// float-state delta drill's measured 155 allocs/op; the packed integer
+// state, one record arena per drill, holds it near 102. The drill runs
+// about 19,500 greedy rounds, so any structure that starts allocating per
+// round blows far past the bound.
+func TestTauKcDeltaAllocRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("canonical 20k-row workload")
+	}
+	w := NewWorkload(1)
+	cache := kernel.New(w.Rel)
+	mustDrill(drilldown.TopK(w.Rel, w.Numeric, w.Keep, w.options(cache, 0)))
+	allocs := testing.AllocsPerRun(3, func() {
+		mustDrill(drilldown.TopK(w.Rel, w.Numeric, w.Keep, w.options(cache, 0)))
+	})
+	if allocs > 155 {
+		t.Errorf("tau_kc_delta allocates %.0f per drill, budget 155", allocs)
+	}
+}
+
 // TestWorkloadShape pins the canonical dimensions the committed
 // BENCH_drilldown.json claims to measure.
 func TestWorkloadShape(t *testing.T) {

@@ -21,7 +21,10 @@
 // numeric data the tau statistic's per-record benefits (concordant minus
 // discordant pair counts) are initialized in O(n log n) with two
 // Fenwick-tree passes over the rank-compressed Y axis — Algorithm 2 — and
-// maintained exactly across removals in O(n) per round.
+// maintained exactly across removals as integers over dense per-stratum
+// ranks, in one pass over the touched stratum's alive records per round.
+// The tau path needs ordered values: NaN is rejected, ±Inf tie with
+// themselves.
 package drilldown
 
 import (

@@ -1,9 +1,11 @@
 package drilldown
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"scoded/internal/relation"
@@ -11,194 +13,183 @@ import (
 	"scoded/internal/segtree"
 )
 
-// tauStratum holds the drill-down state for one conditioning stratum of a
-// numeric constraint.
-type tauStratum struct {
-	rows    []int     // original row indices
-	x, y    []float64 // column values, parallel to rows
-	contrib []float64 // per-record concordant-minus-discordant pair sum
-	alive   []bool
-	s       float64 // current nc - nd of the stratum
-	nAlive  int
-
-	// Delta-argmax cache (DESIGN.md §10): the stratum's current best
-	// candidate under the active greedy direction. Valid between rounds —
-	// removing a record only mutates its own stratum, so only the touched
-	// stratum is rescanned.
-	bestIdx   int
-	bestScore float64
+// tauRec is one alive record of a stratum in the delta greedy's packed
+// state: its position in the stratum's rows, the dense ranks of its x and y
+// values within the stratum, and its concordant-minus-discordant pair sum
+// over the stratum's alive records.
+type tauRec struct {
+	pos, rx, ry, contrib int32
 }
 
-// rescanBest recomputes the stratum's best candidate exactly as one round of
-// the seed linear scan would: lowest alive index among the maximal scores
-// (strict > keeps the first). It reports whether any candidate remains.
-func (st *tauStratum) rescanBest(dependence, best bool) bool {
-	st.bestIdx = -1
-	for i, ok := range st.alive {
-		if !ok {
-			continue
-		}
-		impr := improvement(st.s, st.contrib[i], dependence)
-		score := impr
-		if !best {
-			score = -impr
-		}
-		if st.bestIdx == -1 || score > st.bestScore {
-			st.bestIdx, st.bestScore = i, score
-		}
-	}
-	return st.bestIdx != -1
+// tauStratum holds the delta greedy's state for one conditioning stratum of
+// a numeric constraint. Everything is an integer: the pair weight of two
+// records is the product of the signs of their rank differences, so the
+// contributions, the statistic and every score are exact.
+type tauStratum struct {
+	rows []int    // original row indices, by position
+	recs []tauRec // alive records, compacted in ascending position order
+	s    int64    // current nc - nd of the stratum
+
+	// Delta-argmax cache (DESIGN.md §10): the index into recs of the
+	// stratum's best candidate under the active greedy direction, and its
+	// score. Valid between rounds — removing a record only mutates its own
+	// stratum, so only the touched stratum is rescanned.
+	best      int
+	bestScore int64
 }
 
 // tauTopK runs the tau-statistic drill-down (Algorithm 2 plus the K / K^c
 // greedy loops) on a numeric pair.
 func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
-	var strata []*tauStratum
-	total := 0
 	strataRows, strataKeys, err := strataFor(ctx, d, c, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	total := 0
 	for _, rows := range strataRows {
 		total += len(rows)
 	}
 	if total < k {
 		return Result{}, fmt.Errorf("drilldown: only %d records in testable strata, need k=%d", total, k)
 	}
-	// One arena per drill-down: the per-stratum contrib and alive slices are
-	// carved out of two shared buffers, and the benefit-initialization
-	// scratch (sort order, rank buffers, Fenwick trees) is reused across
-	// strata, so the setup cost is a handful of allocations independent of
-	// the stratum count.
-	contribArena := make([]float64, total)
-	aliveArena := make([]bool, total)
+	// One arena per drill-down: every stratum's packed records are carved
+	// out of one buffer, and the benefit-initialization scratch is reused
+	// across strata, so the setup cost is a handful of allocations
+	// independent of the stratum count, and the greedy rounds allocate
+	// nothing.
+	arena := make([]tauRec, total)
+	strata := make(tauDelta, len(strataRows))
+	var oracle tauLinear
 	var scratch tauScratch
 	used := 0
 	for si, rows := range strataRows {
-		st := &tauStratum{rows: rows}
-		// Cached column values are shared read-only: the greedy loop only
-		// reads x and y, and mutates the stratum-private contrib slice.
-		st.x, err = opts.Cache.FloatsContext(ctx, d, c.X[0], strataKeys[si], rows)
+		x, y, err := tauValues(ctx, d, c, opts, strataKeys[si], rows)
 		if err != nil {
-			return Result{}, fmt.Errorf("drilldown: %w", err)
+			return Result{}, err
 		}
-		st.y, err = opts.Cache.FloatsContext(ctx, d, c.Y[0], strataKeys[si], rows)
-		if err != nil {
-			return Result{}, fmt.Errorf("drilldown: %w", err)
-		}
-		st.contrib = contribArena[used : used+len(rows) : used+len(rows)]
-		st.alive = aliveArena[used : used+len(rows) : used+len(rows)]
+		recs := arena[used : used+len(rows) : used+len(rows)]
 		used += len(rows)
-		scratch.initBenefits(st.contrib, st.x, st.y)
-		for i := range st.alive {
-			st.alive[i] = true
+		strata[si] = tauStratum{rows: rows, recs: recs, s: scratch.initBenefits(recs, x, y)}
+		if opts.linear {
+			oracle = append(oracle, newLinearStratum(rows, x, y, recs))
 		}
-		st.nAlive = len(rows)
-		for _, b := range st.contrib {
-			st.s += b
-		}
-		st.s /= 2 // each pair counted from both endpoints
-		strata = append(strata, st)
 	}
 
-	res := Result{Strategy: opts.resolve(c), InitialStat: sumStats(strata)}
-	greedy := tauGreedyDelta
+	var g tauGreedy = strata
 	if opts.linear {
-		greedy = tauGreedyLinear
+		g = oracle
 	}
+	res := Result{Strategy: opts.resolve(c), InitialStat: g.stat()}
 	switch res.Strategy {
 	case K:
-		res.Rows, err = greedy(ctx, strata, k, c.Dependence, true)
+		res.Rows, err = g.greedy(ctx, k, c.Dependence, true)
 	default:
-		_, err = greedy(ctx, strata, total-k, c.Dependence, false)
-		res.Rows = survivors(strata, k)
+		_, err = g.greedy(ctx, total-k, c.Dependence, false)
+		res.Rows = g.survivors(k)
+		sort.Ints(res.Rows)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.FinalStat = sumStats(strata)
+	res.FinalStat = g.stat()
 	return res, nil
 }
 
-func sumStats(strata []*tauStratum) float64 {
-	var s float64
+// tauGreedy is one implementation of the tau greedy over its own
+// per-stratum state: the integer delta kernel (tauDelta) or the linear
+// float oracle (tauLinear).
+type tauGreedy interface {
+	// stat is nc - nd summed over strata.
+	stat() float64
+	// greedy removes up to rounds records, the most improving (best) or
+	// the most deteriorating, and returns them in removal order as
+	// original row indices; the delta kernel returns them only when best.
+	greedy(ctx context.Context, rounds int, dependence, best bool) ([]int, error)
+	// survivors returns the alive records' original row indices; k is the
+	// expected count (a capacity hint).
+	survivors(k int) []int
+}
+
+// tauValues fetches one stratum's x and y values (shared read-only with the
+// kernel cache) and enforces tau's input rule: every value must be ordered,
+// so a NaN fails the drill naming its column and row, as stats.Kendall
+// rejects it. ±Inf are ordered and tie with themselves.
+func tauValues(ctx context.Context, d *relation.Relation, c sc.SC, opts Options, key string, rows []int) (x, y []float64, err error) {
+	cols := [2]string{c.X[0], c.Y[0]}
+	var vals [2][]float64
+	for j, col := range cols {
+		vals[j], err = opts.Cache.FloatsContext(ctx, d, col, key, rows)
+		if err != nil {
+			return nil, nil, fmt.Errorf("drilldown: %w", err)
+		}
+		for i, v := range vals[j] {
+			if math.IsNaN(v) {
+				return nil, nil, fmt.Errorf("drilldown: column %q holds NaN at row %d; the tau path needs ordered values", col, rows[i])
+			}
+		}
+	}
+	return vals[0], vals[1], nil
+}
+
+// tauDelta is the delta kernel's state: one packed stratum per
+// conditioning stratum.
+type tauDelta []tauStratum
+
+// stat is exact: the sum is an integer far below 2^53.
+func (strata tauDelta) stat() float64 {
+	var s int64
+	for i := range strata {
+		s += strata[i].s
+	}
+	return float64(s)
+}
+
+func (strata tauDelta) survivors(k int) []int {
+	out := make([]int, 0, k)
 	for _, st := range strata {
-		s += st.s
+		for _, r := range st.recs {
+			out = append(out, st.rows[r.pos])
+		}
 	}
-	return s
+	return out
 }
 
-// tauGreedyLinear removes `rounds` records one at a time with the seed-era
-// full rescan: every round scans every alive record of every stratum. When
-// best is true each round removes the record whose removal most improves the
-// objective (the K strategy); when false, the record whose removal most
-// deteriorates it (the K^c strategy). Removed records are returned in
-// removal order as original row indices.
-//
-// The objective is sum over strata of |nc - nd|, minimized for an ISC and
-// maximized for a DSC. Removing record i from stratum z changes the
-// stratum's statistic from s to s - contrib(i), so the improvement is
-// computable in O(1) per candidate; each round scans the alive records and
-// then updates the contributions of the removed record's stratum in O(n_z).
-//
-// This is the reference implementation behind TopKLinear: the delta-argmax
-// fast path below must match it row for row (delta_identity_test.go), and
-// internal/drillbench reports the speedup of the fast path against it.
-func tauGreedyLinear(ctx context.Context, strata []*tauStratum, rounds int, dependence, best bool) ([]int, error) {
-	removed := make([]int, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
-		}
-		selStratum, selIdx := -1, -1
-		var selScore float64
-		for si, st := range strata {
-			if st.nAlive == 0 {
-				continue
-			}
-			for i, ok := range st.alive {
-				if !ok {
-					continue
-				}
-				impr := improvement(st.s, st.contrib[i], dependence)
-				score := impr
-				if !best {
-					score = -impr
-				}
-				if selIdx == -1 || score > selScore {
-					selStratum, selIdx, selScore = si, i, score
-				}
-			}
-		}
-		if selIdx == -1 {
-			break
-		}
-		strata[selStratum].removeRecord(selIdx)
-		removed = append(removed, strata[selStratum].rows[selIdx])
+// scoreSign folds the constraint direction and the greedy direction into
+// one factor: a candidate's score is scoreSign * (|s| - |s - contrib|),
+// which is improvement() for the K strategy and its negation for K^c.
+func scoreSign(dependence, best bool) int64 {
+	if dependence == best {
+		return -1
 	}
-	return removed, nil
+	return 1
 }
 
-// tauGreedyDelta is the incremental argmax form of the greedy loop: each
+// greedy is the incremental argmax form of the greedy loop: each
 // stratum caches its best candidate and an indexed max-heap over strata
 // (segtree.MaxHeap, ids = stratum indices) yields the global argmax in
 // O(log S). Removing a record only mutates its own stratum, so each round
-// rescans and re-keys exactly one stratum: O(n_z + log S) per round instead
-// of the linear scan's O(n_total).
+// makes one fused pass over the touched stratum's alive records and
+// re-keys it: O(alive n_z + log S) per round instead of the linear scan's
+// O(n_total).
 //
-// Selection is row-for-row identical to tauGreedyLinear: untouched strata
-// keep bit-identical cached scores (their inputs are unchanged and the score
-// function is deterministic), within-stratum ties keep the lowest record
-// index (rescanBest's strict >), and cross-strata ties keep the lowest
+// Selection is row-for-row identical to the linear oracle: the integer scores
+// equal the oracle's float scores exactly (every value is an integer below
+// 2^53), untouched strata keep their cached scores, within-stratum ties
+// keep the lowest record position (records stay in position order and the
+// scan keeps the first maximum), and cross-strata ties keep the lowest
 // stratum index (the heap's deterministic id tie-break).
-func tauGreedyDelta(ctx context.Context, strata []*tauStratum, rounds int, dependence, best bool) ([]int, error) {
+func (strata tauDelta) greedy(ctx context.Context, rounds int, dependence, best bool) ([]int, error) {
+	sign := scoreSign(dependence, best)
 	h := segtree.NewMaxHeap()
-	for si, st := range strata {
-		if st.rescanBest(dependence, best) {
-			h.Push(si, st.bestScore)
+	for si := range strata {
+		if st := &strata[si]; st.rescanBest(sign) {
+			h.Push(si, float64(st.bestScore))
 		}
 	}
-	removed := make([]int, 0, rounds)
+	var removed []int // the K strategy's answer; K^c keeps the survivors instead
+	if best {
+		removed = make([]int, 0, rounds)
+	}
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
@@ -207,12 +198,12 @@ func tauGreedyDelta(ctx context.Context, strata []*tauStratum, rounds int, depen
 		if !ok {
 			break
 		}
-		st := strata[si]
-		selIdx := st.bestIdx
-		st.removeRecord(selIdx)
-		removed = append(removed, st.rows[selIdx])
-		if st.rescanBest(dependence, best) {
-			h.Update(si, st.bestScore)
+		st := &strata[si]
+		if best {
+			removed = append(removed, st.rows[st.recs[st.best].pos])
+		}
+		if st.removeBest(sign) {
+			h.Update(si, float64(st.bestScore))
 		} else {
 			h.Remove(si)
 		}
@@ -220,59 +211,74 @@ func tauGreedyDelta(ctx context.Context, strata []*tauStratum, rounds int, depen
 	return removed, nil
 }
 
-// removeRecord takes record i out of the stratum and updates the surviving
-// contributions: pair weights with the removed record disappear.
-func (st *tauStratum) removeRecord(i int) {
-	st.alive[i] = false
-	st.nAlive--
-	st.s -= st.contrib[i]
-	xi, yi := st.x[i], st.y[i]
-	for j, ok := range st.alive {
-		if !ok {
-			continue
-		}
-		st.contrib[j] -= pairWeight(xi, yi, st.x[j], st.y[j])
-	}
-}
-
-// improvement is the objective gain from removing a record with the given
-// contribution from a stratum with statistic s: for an ISC (dependence
-// false) the objective is to shrink |s|; for a DSC to grow it.
-func improvement(s, contrib float64, dependence bool) float64 {
-	delta := math.Abs(s) - math.Abs(s-contrib)
-	if dependence {
-		return -delta
-	}
-	return delta
-}
-
-// pairWeight is 1 for a concordant pair, -1 for discordant, 0 for tied.
-func pairWeight(x1, y1, x2, y2 float64) float64 {
-	dx, dy := x1-x2, y1-y2
-	switch {
-	//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-	case dx == 0 || dy == 0:
-		return 0
-	case (dx > 0) == (dy > 0):
-		return 1
-	default:
-		return -1
-	}
-}
-
-// survivors returns the alive rows of all strata, in original order. k is
-// the expected survivor count (a capacity hint).
-func survivors(strata []*tauStratum, k int) []int {
-	out := make([]int, 0, k)
-	for _, st := range strata {
-		for i, ok := range st.alive {
-			if ok {
-				out = append(out, st.rows[i])
-			}
+// rescanBest finds the stratum's best candidate without changing it: the
+// lowest-index record among the maximal scores. It reports whether any
+// candidate remains.
+//
+// Within a stratum |s| is fixed, so maximizing sign*(|s| - |s - c|) is
+// maximizing the key -sign*|s - c|; the score is rebuilt from the winning
+// key.
+func (st *tauStratum) rescanBest(sign int64) bool {
+	best, bestKey := -1, int64(math.MinInt64)
+	for i, r := range st.recs {
+		if key := -sign * abs64(st.s-int64(r.contrib)); key > bestKey {
+			best, bestKey = i, key
 		}
 	}
-	sort.Ints(out)
-	return out
+	return st.setBest(best, bestKey, sign)
+}
+
+// removeBest takes the cached best candidate out of the stratum in one
+// fused pass over the other alive records: each loses its pair weight with
+// the removed record, the records after the removed slot move down one (so
+// dead records are never visited again and position order is kept), and
+// the new best candidate is tracked on the way. It reports whether any
+// candidate remains.
+func (st *tauStratum) removeBest(sign int64) bool {
+	b, recs := st.best, st.recs
+	gx, gy := recs[b].rx, recs[b].ry
+	st.s -= int64(recs[b].contrib)
+	s, neg := st.s, -sign
+	best, bestKey := -1, int64(math.MinInt64)
+	// Records before the removed slot stay put; those after it move down one.
+	for j := 0; j < b; j++ {
+		r := &recs[j]
+		r.contrib -= sign32(gx-r.rx) * sign32(gy-r.ry)
+		if key := neg * abs64(s-int64(r.contrib)); key > bestKey {
+			best, bestKey = j, key
+		}
+	}
+	for j := b + 1; j < len(recs); j++ {
+		r := recs[j]
+		r.contrib -= sign32(gx-r.rx) * sign32(gy-r.ry)
+		recs[j-1] = r
+		if key := neg * abs64(s-int64(r.contrib)); key > bestKey {
+			best, bestKey = j-1, key
+		}
+	}
+	st.recs = recs[:len(recs)-1]
+	return st.setBest(best, bestKey, sign)
+}
+
+// setBest records a scan's winner; best is -1 when the stratum is empty.
+func (st *tauStratum) setBest(best int, bestKey, sign int64) bool {
+	st.best = best
+	if best == -1 {
+		return false
+	}
+	st.bestScore = sign*abs64(st.s) + bestKey
+	return true
+}
+
+// sign32 is -1, 0 or 1 by the sign of v, without a branch.
+func sign32(v int32) int32 {
+	return v>>31 | int32(uint32(-v)>>31)
+}
+
+// abs64 is |v| without a branch (v is never math.MinInt64 here).
+func abs64(v int64) int64 {
+	m := v >> 63
+	return (v ^ m) - m
 }
 
 // tauScratch holds the reusable buffers of the benefit initialization so a
@@ -285,23 +291,27 @@ type tauScratch struct {
 	t1, t2 *segtree.Fenwick
 }
 
-// initBenefits computes every record's concordant-minus-discordant pair sum
-// into benefit (parallel to x and y) in O(n log n) with two Fenwick-tree
+// initBenefits fills recs (parallel to x and y) with each record's position,
+// its dense x and y ranks, and its concordant-minus-discordant pair sum, and
+// returns the stratum's nc - nd. It runs in O(n log n) with two Fenwick-tree
 // passes over the rank-compressed Y axis, exactly as in Algorithm 2: the
 // ascending pass accounts for pairs with smaller X, the descending pass for
 // pairs with larger X. Records tied on X are processed as a block — queried
-// before any of the block is inserted — so X-ties contribute zero weight.
-func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
+// before any of the block is inserted — so X-ties contribute zero weight;
+// the blocks, in ascending order, are the dense x ranks.
+//
+// x and y must be NaN-free (tauValues); -0 ties with +0 and each infinity
+// with itself, as in stats.Kendall.
+func (ts *tauScratch) initBenefits(recs []tauRec, x, y []float64) int64 {
 	n := len(x)
-	for i := range benefit {
-		benefit[i] = 0
-	}
 	if n == 0 {
-		return
+		return 0
 	}
 	var distinct int
 	ts.ranks, distinct, ts.sorted = segtree.CompressRanksInto(y, ts.ranks, ts.sorted)
-	yRank := ts.ranks
+	for i, r := range ts.ranks[:n] {
+		recs[i] = tauRec{pos: int32(i), ry: int32(r)}
+	}
 
 	if cap(ts.order) < n {
 		ts.order = make([]int, n)
@@ -310,7 +320,7 @@ func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return x[order[a]] < x[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(x[a], x[b]) })
 
 	if ts.t1 == nil {
 		ts.t1, ts.t2 = segtree.NewFenwick(distinct), segtree.NewFenwick(distinct)
@@ -318,52 +328,59 @@ func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
 	// Ascending pass: tree T1 holds records with strictly smaller X.
 	t1 := ts.t1
 	t1.Reset(distinct)
-	for i := 0; i < n; {
+	var rx int32
+	for i := 0; i < n; rx++ {
 		j := i
-		//scoded:lint-ignore floatcmp X-runs group exactly-equal sorted data values
-		for j+1 < n && x[order[j+1]] == x[order[i]] {
+		for j+1 < n && cmp.Compare(x[order[j+1]], x[order[i]]) == 0 {
 			j++
 		}
-		for m := i; m <= j; m++ {
-			id := order[m]
-			nc := t1.CountBelow(yRank[id])
-			nd := t1.CountAbove(yRank[id])
-			benefit[id] += float64(nc - nd)
+		for _, id := range order[i : j+1] {
+			r := &recs[id]
+			r.rx = rx
+			r.contrib += int32(t1.CountBelow(int(r.ry)) - t1.CountAbove(int(r.ry)))
 		}
-		for m := i; m <= j; m++ {
-			t1.Insert(yRank[order[m]], 1)
+		for _, id := range order[i : j+1] {
+			t1.Insert(int(recs[id].ry), 1)
 		}
 		i = j + 1
 	}
 
-	// Descending pass: tree T2 holds records with strictly larger X.
+	// Descending pass: tree T2 holds records with strictly larger X; the x
+	// blocks are the ranks the ascending pass assigned.
 	t2 := ts.t2
 	t2.Reset(distinct)
 	for i := n - 1; i >= 0; {
 		j := i
-		//scoded:lint-ignore floatcmp X-runs group exactly-equal sorted data values
-		for j-1 >= 0 && x[order[j-1]] == x[order[i]] {
+		for j-1 >= 0 && recs[order[j-1]].rx == recs[order[i]].rx {
 			j--
 		}
-		for m := j; m <= i; m++ {
-			id := order[m]
-			nc := t2.CountAbove(yRank[id])
-			nd := t2.CountBelow(yRank[id])
-			benefit[id] += float64(nc - nd)
+		for _, id := range order[j : i+1] {
+			r := &recs[id]
+			r.contrib += int32(t2.CountAbove(int(r.ry)) - t2.CountBelow(int(r.ry)))
 		}
-		for m := j; m <= i; m++ {
-			t2.Insert(yRank[order[m]], 1)
+		for _, id := range order[j : i+1] {
+			t2.Insert(int(recs[id].ry), 1)
 		}
 		i = j - 1
 	}
+
+	var sum int64
+	for _, r := range recs {
+		sum += int64(r.contrib)
+	}
+	return sum / 2 // each pair counted from both endpoints
 }
 
 // initBenefits computes every record's concordant-minus-discordant pair sum
 // with a one-shot scratch; kept for the property tests that pin the fast
 // initialization against the naive O(n²) pair count.
 func initBenefits(x, y []float64) []float64 {
-	benefit := make([]float64, len(x))
+	recs := make([]tauRec, len(x))
 	var scratch tauScratch
-	scratch.initBenefits(benefit, x, y)
+	scratch.initBenefits(recs, x, y)
+	benefit := make([]float64, len(x))
+	for i, r := range recs {
+		benefit[i] = float64(r.contrib)
+	}
 	return benefit
 }

@@ -8,6 +8,7 @@ import (
 	"scoded/internal/detect"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
+	"scoded/internal/stats"
 )
 
 // figure2 is the paper's example with the inserted error records.
@@ -279,5 +280,30 @@ func TestConditionalRepair(t *testing.T) {
 	}
 	if res.Corrections[0].Row != 3 || res.Corrections[0].New != "p" {
 		t.Errorf("expected row 3 corrected to p, got %+v", res.Corrections[0])
+	}
+}
+
+// TestContributionDeltaInfTies pins the repair's O(n) nc - nd update to
+// stats.Kendall where values tie at an infinity: equal infinities are a
+// tie, not a discordant pair.
+func TestContributionDeltaInfTies(t *testing.T) {
+	inf := math.Inf(1)
+	x := []float64{1, inf, inf, 2, -inf, -inf}
+	y := []float64{1, 2, 3, 0, inf, -inf}
+	ncnd := func(y []float64) float64 {
+		k, err := stats.Kendall(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(k.Concordant - k.Discordant)
+	}
+	for i := range y {
+		for _, target := range []float64{inf, -inf, 0, 2} {
+			moved := append([]float64(nil), y...)
+			moved[i] = target
+			if got, want := contributionDelta(x, y, i, target), ncnd(moved)-ncnd(y); got != want {
+				t.Errorf("y[%d] -> %v: contributionDelta %v, stats.Kendall %v", i, target, got, want)
+			}
+		}
 	}
 }

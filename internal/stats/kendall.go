@@ -2,6 +2,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -354,27 +355,27 @@ func mergeCount(v, buf []float64, lo, mid, hi int) int64 {
 
 // KendallNaive computes tau-a, tau-b and the pair counts by the O(n²)
 // definition. It exists as a correctness oracle for tests and for the
-// brute-force drill-down baseline.
+// brute-force drill-down baseline. Like Kendall it orders ±Inf and ties
+// -0 with +0; x and y must be NaN-free.
 func KendallNaive(x, y []float64) KendallResult {
 	n := len(x)
 	var nc, nd, tX, tY, tXY int64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dx := x[i] - x[j]
-			dy := y[i] - y[j]
+			// Compare, never subtract: Inf - Inf is NaN, and a product of
+			// tiny differences can underflow to 0.
+			dx := cmp.Compare(x[i], x[j])
+			dy := cmp.Compare(y[i], y[j])
 			switch {
-			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
 			case dx == 0 && dy == 0:
 				tXY++
 				tX++
 				tY++
-			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
 			case dx == 0:
 				tX++
-			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
 			case dy == 0:
 				tY++
-			case dx*dy > 0:
+			case dx == dy:
 				nc++
 			default:
 				nd++

@@ -107,6 +107,11 @@ func TestPrepKendallCountsMatchNaive(t *testing.T) {
 		{"n=2", []float64{1, 2}, []float64{2, 1}},
 		{"n=2-tied", []float64{1, 1}, []float64{2, 2}},
 		{"reversed", []float64{1, 2, 3, 4, 5, 6, 7}, []float64{7, 6, 5, 4, 3, 2, 1}},
+		{"inf-ties", []float64{1, math.Inf(1), math.Inf(1), 2}, []float64{1, 2, 3, 0}},
+		{"inf-both", []float64{math.Inf(-1), math.Inf(1), math.Inf(-1), math.Inf(1), 0},
+			[]float64{math.Inf(1), math.Inf(1), math.Inf(-1), 5, math.Inf(-1)}},
+		{"tiny-differences", []float64{0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64},
+			[]float64{0, math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64}},
 	} {
 		prep, err := PrepKendall(tc.x, tc.y)
 		if err != nil {

@@ -41,11 +41,11 @@ echo "== svcbench vet + test =="
 )
 
 # Gating: the drill-down delta-argmax identity properties under the race
-# detector. These are part of the suite above; the explicit run keeps the
-# fast path's row-for-row contract visible even if the full suite is ever
-# scoped down.
+# detector, with the tau fuzzer's seed corpus and the non-finite rule.
+# These are part of the suite above; the explicit run keeps the fast path's
+# row-for-row contract visible even if the full suite is ever scoped down.
 echo "== drill-down identity (-race) =="
-go test -race -run 'Delta|MultiTopK|WorkloadIdentity' \
+go test -race -run 'Delta|MultiTopK|WorkloadIdentity|FuzzTauDrill|NonFinite' \
 	./internal/drilldown/ ./internal/drillbench/
 
 # Gating: the streaming incremental kernels' differential harness under
